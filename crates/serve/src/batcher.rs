@@ -15,10 +15,11 @@
 //! Because every transition is a function of `(arrival order, arrival
 //! timestamps, policy)`, batch composition is bit-reproducible for any
 //! replayed arrival sequence — the property the serving determinism
-//! suite pins. The engine's wall-clock mode feeds the same machine with
-//! dequeue-time stamps and adds a real timer for rule 3; its
-//! virtual-time mode feeds request arrival stamps and flushes on queue
-//! exhaustion, removing the scheduler from the composition entirely.
+//! suite pins. The engine applies rule 3 whenever a replica's queue runs
+//! empty, in both clock modes, and has no timer. Its virtual-time mode
+//! feeds request arrival stamps, removing the scheduler from the
+//! composition of a prefilled queue entirely; its wall-clock mode feeds
+//! dequeue-time stamps.
 
 /// Size and deadline knobs of the dynamic batcher.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,8 +27,12 @@ pub struct BatchPolicy {
     /// Maximum requests coalesced into one forward pass.
     pub max_batch: usize,
     /// Coalescing window in microseconds, measured from the first
-    /// element's timestamp. `0` disables coalescing-by-wait: every
-    /// arrival past the opener closes the batch.
+    /// element's timestamp: a later-stamped element opens the next
+    /// batch. Nothing waits for the window to fill; the engine runs an
+    /// open batch as soon as its queue is empty. With the engine's
+    /// virtual-time stamps the window bounds a batch's arrival span;
+    /// with wall-clock (dequeue) stamps it bounds the span of one queue
+    /// drain. `0` admits only equal stamps into one batch.
     pub max_delay_us: u64,
 }
 

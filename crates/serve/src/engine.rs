@@ -10,9 +10,12 @@
 //! [`DegradePolicy::CoastLastGood`] answers with the stream's last good
 //! detection (`Degraded`) — or `Shed` when the stream has no good
 //! detection yet, the same first-frame rule the pipeline supervisor
-//! specifies. Each replica coalesces its queue through the deterministic
-//! [`Batcher`] (close on size, window expiry, or queue exhaustion) and
-//! feeds the already batch-parallel detector forward once per batch.
+//! specifies. Each replica drains its queue into the deterministic
+//! [`Batcher`] and is **work-conserving**: a batch closes on size, on a
+//! stamp past its coalescing window, or as soon as the queue runs empty,
+//! so no replica sits idle on an open batch. Under load the requests
+//! that queued during one forward form the next batch. Each closed batch
+//! feeds the already batch-parallel detector forward once.
 //!
 //! **Replica lifecycle:** every replica scores its own batch outcomes
 //! through the deterministic [`HealthTracker`]
@@ -77,7 +80,7 @@ use skynet_tensor::{telemetry, Tensor};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -102,13 +105,15 @@ pub struct ServeConfig {
     /// Health thresholds, restart budget and backoff driving the
     /// replica lifecycle (see [`HealthPolicy`]).
     pub health: HealthPolicy,
-    /// Batching decisions use request *arrival* stamps and close batches
-    /// on queue exhaustion instead of a wall-clock timer — composition
-    /// becomes a pure function of the submitted sequence (the
-    /// determinism suite runs in this mode). Wall-clock mode stamps
-    /// requests at dequeue time and waits out the coalescing window.
-    /// Virtual time also skips restart-backoff sleeps (the backoff
-    /// *decisions* are identical either way).
+    /// Batching decisions use request *arrival* stamps, so the
+    /// coalescing window bounds the arrival span of a batch and, with a
+    /// prefilled queue, composition is a pure function of the submitted
+    /// sequence (the determinism suite runs in this mode). Wall-clock
+    /// mode stamps requests at dequeue time instead, so the window only
+    /// caps the dequeue span of one drain. Both modes run the open batch
+    /// as soon as the queue is empty; neither waits on a timer. Virtual
+    /// time also skips restart-backoff sleeps (the backoff *decisions*
+    /// are identical either way).
     pub virtual_time: bool,
     /// Start with the replicas gated: requests queue up (and shed) but
     /// nothing is processed until [`ServeEngine::resume`].
@@ -190,6 +195,11 @@ pub struct Response {
     pub generation: u64,
     /// Engine-clock arrival stamp (µs).
     pub arrival_us: u64,
+    /// Engine-clock stamp (µs) at which this request's batch forward
+    /// began (`None` when no batch ran, as for `batch`). It splits the
+    /// latency: `started − arrival` is queue wait plus coalescing,
+    /// `done − started` is inference plus reply.
+    pub started_us: Option<u64>,
     /// Engine-clock completion stamp (µs).
     pub done_us: u64,
 }
@@ -441,6 +451,7 @@ impl Shared {
         outcome: Outcome,
         replica: Option<usize>,
         batch: Option<(u64, usize)>,
+        started_us: Option<u64>,
         generation: u64,
     ) -> bool {
         let taken = self.pending.lock().expect("pending poisoned").remove(&id);
@@ -456,6 +467,7 @@ impl Shared {
             batch,
             generation,
             arrival_us: p.arrival_us,
+            started_us,
             done_us: self.now_us(),
         });
         true
@@ -653,6 +665,7 @@ impl ServeEngine {
             outcome,
             None,
             None,
+            None,
             shared.active_gen.load(Ordering::SeqCst),
         );
         Admission::Rejected
@@ -832,6 +845,7 @@ impl ServeEngine {
                 batch: None,
                 generation,
                 arrival_us: p.arrival_us,
+                started_us: None,
                 done_us: shared.now_us(),
             });
         }
@@ -922,51 +936,29 @@ impl Replica {
     }
 
     /// Drains the queue until disconnect; returns the batch log.
+    ///
+    /// Work-conserving in both clock modes: whatever is queued is pulled
+    /// into the batcher (closing on size or window as it goes), and once
+    /// the queue runs empty the open batch runs at once instead of
+    /// waiting for arrivals that may never come. Batches still form
+    /// under load, from the requests that queued during the previous
+    /// forward.
     fn run(mut self, rx: Receiver<Msg>) -> Vec<Vec<u64>> {
         self.shared.wait_until_running();
-        'outer: loop {
-            match rx.try_recv() {
-                Ok(msg) => self.on_msg(msg),
-                Err(mpsc::TryRecvError::Empty) => {
-                    if self.batcher.is_empty() {
-                        // Nothing pending: block until work or disconnect.
-                        match rx.recv() {
-                            Ok(msg) => self.on_msg(msg),
-                            Err(_) => break 'outer,
-                        }
-                    } else if self.shared.virtual_time {
-                        // Virtual time: queue exhaustion closes the batch —
-                        // no wall clock in the composition decision.
-                        self.flush_and_run();
-                    } else {
-                        // Wall clock: wait out the remaining coalescing
-                        // window, then flush.
-                        let deadline = self
-                            .batcher
-                            .window_deadline_us()
-                            .expect("non-empty batcher has a window");
-                        let now = self.shared.now_us();
-                        if now >= deadline {
-                            self.flush_and_run();
-                        } else {
-                            match rx.recv_timeout(Duration::from_micros(deadline - now)) {
-                                Ok(msg) => self.on_msg(msg),
-                                Err(RecvTimeoutError::Timeout) => self.flush_and_run(),
-                                Err(RecvTimeoutError::Disconnected) => {
-                                    self.flush_and_run();
-                                    break 'outer;
-                                }
-                            }
-                        }
+        loop {
+            let msg = match rx.try_recv() {
+                Ok(msg) => msg,
+                Err(_) => {
+                    // Queue exhausted (or disconnected for the shutdown
+                    // drain): run the open batch, then block for more.
+                    self.flush_and_run();
+                    match rx.recv() {
+                        Ok(msg) => msg,
+                        Err(_) => break,
                     }
                 }
-                Err(mpsc::TryRecvError::Disconnected) => {
-                    // Shutdown drain: everything already pulled must still
-                    // get its outcome.
-                    self.flush_and_run();
-                    break 'outer;
-                }
-            }
+            };
+            self.on_msg(msg);
         }
         self.log
     }
@@ -1022,7 +1014,8 @@ impl Replica {
             .shared
             .degrade_outcome(r.stream, ShedReason::ReplicaUnavailable);
         let gen = self.shared.active_gen.load(Ordering::SeqCst);
-        self.shared.answer(r.id, outcome, Some(self.idx), None, gen);
+        self.shared
+            .answer(r.id, outcome, Some(self.idx), None, None, gen);
     }
 
     /// Health bookkeeping after a batch: score the outcome, publish the
@@ -1168,12 +1161,12 @@ impl Replica {
             meta.push((r.id, r.stream, r.arrival_us));
             tensors.push(r.image);
         }
+        let started = shared.now_us();
         if metrics {
             telemetry::histogram("serve.batch.size", &BATCH_BOUNDS).record(size as f64);
-            let now = shared.now_us();
             for &(_, _, arrival) in &meta {
                 telemetry::histogram("serve.queue_wait.ms", &telemetry::MS_BOUNDS)
-                    .record(now.saturating_sub(arrival) as f64 / 1e3);
+                    .record(started.saturating_sub(arrival) as f64 / 1e3);
             }
         }
         // Batched forward under the fault plan, with panic isolation and
@@ -1233,38 +1226,28 @@ impl Replica {
             let _ = catch_unwind(AssertUnwindSafe(|| plan.apply(StageId::Post, &ctx)));
         }
         let ok = detections.is_some();
-        match detections {
-            Some(dets) => {
-                debug_assert_eq!(dets.len(), meta.len());
-                for ((id, stream, arrival_us), det_out) in meta.into_iter().zip(dets) {
-                    self.shared
-                        .last_good
-                        .lock()
-                        .expect("last_good poisoned")
-                        .insert(stream, det_out);
-                    let answered = shared.answer(
-                        id,
-                        Outcome::Served(det_out),
-                        Some(idx),
-                        Some((batch_seq, size)),
-                        self.gen,
-                    );
-                    if answered && metrics {
-                        telemetry::counter(&format!("serve.replica{idx}.served")).inc();
-                        let done = shared.now_us();
-                        telemetry::histogram("serve.e2e.ms", &telemetry::MS_BOUNDS)
-                            .record(done.saturating_sub(arrival_us) as f64 / 1e3);
-                    }
+        debug_assert!(detections.as_ref().is_none_or(|d| d.len() == size));
+        let mut dets = detections.into_iter().flatten();
+        let placement = Some((batch_seq, size));
+        for (id, stream, arrival_us) in meta {
+            // A failed batch (retries exhausted, or an impossible stack)
+            // degrades each member per the policy — first-frame rule
+            // included.
+            let outcome = match dets.next() {
+                Some(d) => {
+                    let mut last_good = shared.last_good.lock().expect("last_good poisoned");
+                    last_good.insert(stream, d);
+                    Outcome::Served(d)
                 }
-            }
-            None => {
-                // Retries exhausted (or an impossible stack): degrade
-                // each member per the policy — first-frame rule
-                // included.
-                for (id, stream, _arrival_us) in meta {
-                    let outcome = shared.degrade_outcome(stream, ShedReason::InferenceFailed);
-                    shared.answer(id, outcome, Some(idx), Some((batch_seq, size)), self.gen);
-                }
+                None => shared.degrade_outcome(stream, ShedReason::InferenceFailed),
+            };
+            let answered =
+                shared.answer(id, outcome, Some(idx), placement, Some(started), self.gen);
+            if answered && ok && metrics {
+                telemetry::counter(&format!("serve.replica{idx}.served")).inc();
+                let done = shared.now_us();
+                telemetry::histogram("serve.e2e.ms", &telemetry::MS_BOUNDS)
+                    .record(done.saturating_sub(arrival_us) as f64 / 1e3);
             }
         }
         ok

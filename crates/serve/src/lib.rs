@@ -10,12 +10,14 @@
 //! each behind its own **bounded request queue**. Three load-time
 //! behaviours define it:
 //!
-//! * **Dynamic batching** ([`batcher`]): requests are coalesced until
-//!   the batch reaches [`BatchPolicy::max_batch`](batcher::BatchPolicy)
-//!   or the coalescing window expires, then fed to the detector's
-//!   already batch-parallel forward in one stacked pass. The coalescing
-//!   decision is a pure state machine over timestamps, so batch
-//!   composition is bit-reproducible for a replayed arrival sequence.
+//! * **Dynamic batching** ([`batcher`]): a replica coalesces whatever
+//!   its queue holds, up to [`BatchPolicy::max_batch`](batcher::BatchPolicy)
+//!   and within the coalescing window, and runs the batch as soon as the
+//!   queue is empty — it never idles waiting for more — feeding the
+//!   detector's already batch-parallel forward in one stacked pass. The
+//!   coalescing decision is a pure state machine over timestamps, so
+//!   batch composition is bit-reproducible for a replayed arrival
+//!   sequence.
 //! * **Admission control + load-shedding** ([`engine`]): when every
 //!   queue is full the engine answers immediately instead of queueing
 //!   without bound — shedding the request, or coasting on the stream's

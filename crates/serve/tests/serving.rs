@@ -160,6 +160,17 @@ fn every_request_gets_exactly_one_outcome_through_shutdown_drain() {
         "exactly one outcome per request id"
     );
     assert!(report.counters.served > 0);
+    // Every served outcome splits its latency at the batch start.
+    for r in responses
+        .iter()
+        .filter(|r| matches!(r.outcome, Outcome::Served(_)))
+    {
+        let started = r.started_us.expect("a served request ran in a batch");
+        assert!(
+            r.arrival_us <= started && started <= r.done_us,
+            "stamps out of order: {r:?}"
+        );
+    }
 }
 
 #[test]
@@ -184,7 +195,7 @@ fn overload_sheds_at_admission_instead_of_queueing_unboundedly() {
     assert_eq!(immediate.len(), 92);
     assert!(immediate
         .iter()
-        .all(|r| r.outcome == Outcome::Shed(ShedReason::QueueFull)));
+        .all(|r| r.outcome == Outcome::Shed(ShedReason::QueueFull) && r.started_us.is_none()));
     let report = engine.shutdown(); // resumes, drains the 8 queued
     assert_eq!(report.counters.shed_queue_full, 92);
     assert_eq!(report.counters.served, 8);
@@ -327,4 +338,54 @@ fn replicas_serve_the_published_weight_hash() {
     let _ = inbox.recv_timeout(Duration::from_secs(10)).unwrap();
     let report = engine.shutdown();
     assert_eq!(report.weight_hash, bp.weight_hash());
+}
+
+#[test]
+fn an_idle_replica_runs_its_open_batch_without_waiting_out_the_window() {
+    let bp = blueprint(13);
+    let cfg = ServeConfig {
+        replicas: 1,
+        batch: BatchPolicy {
+            max_batch: 8,
+            max_delay_us: 10_000_000,
+        },
+        ..ServeConfig::default()
+    };
+    let engine = ServeEngine::start(&bp, &cfg).unwrap();
+    let (reply, inbox) = mpsc::channel();
+    engine.submit(0, synth_image(0, 16, 32), &reply);
+    let r = inbox.recv_timeout(Duration::from_secs(30)).unwrap();
+    assert!(matches!(r.outcome, Outcome::Served(_)), "{r:?}");
+    let latency_us = r.done_us - r.arrival_us;
+    assert!(
+        latency_us < 1_000_000,
+        "a lone request waited {latency_us}us for a 10s window to expire"
+    );
+    assert_eq!(engine.shutdown().counters.lost(), 0);
+}
+
+#[test]
+fn a_wall_clock_backlog_coalesces_into_one_full_batch() {
+    let bp = blueprint(17);
+    let cfg = ServeConfig {
+        replicas: 1,
+        // The window is wide, so only size (or an empty queue) closes.
+        batch: BatchPolicy {
+            max_batch: 8,
+            max_delay_us: 10_000_000,
+        },
+        paused: true,
+        ..ServeConfig::default()
+    };
+    let engine = ServeEngine::start(&bp, &cfg).unwrap();
+    let (reply, inbox) = mpsc::channel();
+    for i in 0..8 {
+        engine.submit(i, synth_image(i, 16, 32), &reply);
+    }
+    engine.resume();
+    for _ in 0..8 {
+        let r = inbox.recv_timeout(Duration::from_secs(30)).unwrap();
+        assert_eq!(r.batch, Some((0, 8)), "the backlog split: {r:?}");
+    }
+    assert_eq!(engine.shutdown().counters.lost(), 0);
 }
