@@ -28,7 +28,10 @@
 //! pairwise-`madd` tier vs the scalar oracle, bitwise) — and the
 //! **fused lane** times `fused::fused_bundle_forward` against the
 //! unfused DW→BN→Act→PW→BN→Act layer sequence with the two paths
-//! asserted bit-identical per backend.
+//! asserted bit-identical per backend. The **epilogue lane** times the
+//! INT8 f32 epilogues (`qint::requant_i8`, `qint::quantize_i8`) on the
+//! model's shapes, after asserting every backend's codes and saturation
+//! count CRC-identical to the scalar oracle.
 //!
 //! The report is archived at `bench_results/kernel_bench.md`. The run
 //! fails if the aggregate forward speedup of the widest backend over the
@@ -207,6 +210,57 @@ fn assert_close(label: &str, a: &[f32], b: &[f32]) {
 /// ratios honest on a loaded host. Returns one best time per backend,
 /// in `backends` order. Leaves the forced backend dirty — callers
 /// restore it.
+/// One case of the epilogue lane: asserts every backend's `i8` codes and
+/// saturation count CRC-identical to the scalar oracle's, then times the
+/// oracle loop and each backend (serial) and appends the rows.
+fn epilogue_case(
+    report: &mut String,
+    label: &str,
+    len: usize,
+    reps: usize,
+    backends: &[Backend],
+    oracle: impl Fn(&mut [i8]) -> u64,
+    run: impl Fn(&mut [i8]) -> u64,
+) {
+    let hash = |codes: &[i8], sat: u64| {
+        let mut h = Crc32::new();
+        h.update(&codes.iter().map(|&q| q as u8).collect::<Vec<_>>());
+        h.update(&sat.to_le_bytes());
+        h.finalize()
+    };
+    let mut out = vec![0i8; len];
+    let sat = oracle(&mut out);
+    let want = hash(&out, sat);
+    for &be in backends {
+        simd::force(be);
+        let sat = run(&mut out);
+        assert_eq!(
+            hash(&out, sat),
+            want,
+            "{label} [{}]: epilogue diverged from the scalar oracle",
+            be.name()
+        );
+    }
+    let (t_oracle, ts) = parallel::serial(|| {
+        let t = time_backends(reps, &backends[..1], || oracle(&mut out))[0];
+        (t, time_backends(reps, backends, || run(&mut out)))
+    });
+    let _ = writeln!(
+        report,
+        "| {label} | oracle loop | {:.3} | 1.00x | {want:08x} |",
+        t_oracle * 1e3
+    );
+    for (&be, t) in backends.iter().zip(ts) {
+        let _ = writeln!(
+            report,
+            "| {label} | {} | {:.3} | {:.2}x | {want:08x} |",
+            be.name(),
+            t * 1e3,
+            t_oracle / t,
+        );
+    }
+}
+
 fn time_backends<T>(reps: usize, backends: &[Backend], mut f: impl FnMut() -> T) -> Vec<f64> {
     let mut best = vec![f64::INFINITY; backends.len()];
     for _ in 0..reps {
@@ -483,8 +537,8 @@ fn main() {
         "The executable-INT8 lane: `qint::dwconv3_i8` / `qint::matmul_i8_acc` \
          against the f32 kernels on the same shapes, per backend (serial, \
          reps interleaved). The INT8 kernels return raw i32 accumulators; \
-         the quantize/requantize epilogues are costed separately by \
-         `quant_sweep`, so these ratios isolate the compute-kernel win. \
+         the quantize/requantize epilogues have their own lane below, \
+         so these ratios isolate the compute-kernel win. \
          The crc column hashes the i32 accumulators and is asserted equal \
          on every backend — the pairwise-`madd` tier (`avx2pair`) must be \
          **bitwise** identical to the scalar oracle, not merely close.\n"
@@ -603,6 +657,60 @@ fn main() {
          the shapes above): **{q_agg:.2}x** (floor {q_floor:.2}x under \
          this budget).\n",
         widest.name(),
+    );
+
+    // ---- INT8 f32 epilogues: requant and quantize --------------------------
+    let _ = writeln!(report, "\n## INT8 epilogues (requant, quantize)\n");
+    let _ = writeln!(
+        report,
+        "`qint::requant_i8` (one call per channel plane, ReLU6 clamp, as the \
+         fused INT8 bundle issues them) and `qint::quantize_i8` (the \
+         network input) on SkyNet C ÷8 shapes at 160×320, per backend \
+         (serial, reps interleaved), against the scalar oracle loops \
+         (`requant_i8_scalar` / `quantize_i8_scalar`, the pre-vector \
+         code). The crc column hashes the `i8` codes and the saturation \
+         count; every backend is asserted equal to the oracle before \
+         timing.\n"
+    );
+    let _ = writeln!(
+        report,
+        "| case | backend | ms | speedup over oracle | crc |"
+    );
+    let _ = writeln!(report, "|---|---|---:|---:|---|");
+    let (mult, bias, clamp, out_scale) = (1.0 / 2048.0, 0.3, Some((0.0, 6.0)), 0.05);
+    for (label, c, plane) in [
+        ("requant dw1 3@160x320", 3usize, 160usize * 320),
+        ("requant pw1 6@160x320", 6, 160 * 320),
+        ("requant pw2 12@80x160", 12, 80 * 160),
+        ("requant dw6 160@20x40", 160, 20 * 40),
+    ] {
+        let acc: Vec<i32> = (0..c * plane)
+            .map(|_| rng.range(-40_000.0, 40_000.0) as i32)
+            .collect();
+        epilogue_case(
+            &mut report,
+            label,
+            acc.len(),
+            reps,
+            &backends,
+            |out| qint::requant_i8_scalar(&acc, mult, bias, clamp, out_scale, out),
+            |out| {
+                acc.chunks(plane)
+                    .zip(out.chunks_mut(plane))
+                    .map(|(a, o)| qint::requant_i8(a, mult, bias, clamp, out_scale, o))
+                    .sum()
+            },
+        );
+    }
+    let src: Vec<f32> = (0..3 * 160 * 320).map(|_| rng.range(-0.2, 1.2)).collect();
+    epilogue_case(
+        &mut report,
+        "quantize input 3@160x320",
+        src.len(),
+        reps,
+        &backends,
+        |out| qint::quantize_i8_scalar(&src, 1.0 / 127.0, out),
+        |out| qint::quantize_i8(&src, 1.0 / 127.0, out),
     );
 
     // ---- Fused bundle vs unfused layer sequence --------------------------

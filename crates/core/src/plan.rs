@@ -521,8 +521,8 @@ pub enum QOp {
         bundle: usize,
         /// Lowered to the fused INT8 row-tile kernel. The engine still
         /// checks the runtime [`skynet_tensor::fusion`] toggle at each
-        /// forward and counts `quant.fused.fallback` when a
-        /// fused-lowered bundle has to run unfused.
+        /// forward and counts `quant.fused.fallback` when the toggle
+        /// sends a fused-lowered bundle down the staged pair.
         fused: bool,
     },
     /// 2×2 max-pool after bundles 1–3.

@@ -442,26 +442,21 @@ impl QuantizedSkyNet {
     }
 
     /// Runs one bundle. A fused-lowered bundle first checks the runtime
-    /// [`fusion`] toggle; when it has to run unfused anyway (toggle off,
-    /// or a structural rejection from the fused kernel) the detour is
-    /// counted under `quant.fused.fallback` — the same observability
-    /// contract the float path keeps with `fusion.fallback`. Either way
-    /// the output bits are identical (wrapping-i32 accumulation is
+    /// [`fusion`] toggle; when the toggle is off it runs the staged pair
+    /// instead and counts the detour under `quant.fused.fallback`. An
+    /// error from the fused kernel is a shape or channel mismatch the
+    /// staged pair would reject too, so it is returned as is. Either
+    /// way the output bits are identical (wrapping-i32 accumulation is
     /// grouping-independent; see [`skynet_tensor::qint`]).
     fn run_bundle(&self, idx: usize, fused: bool, q: &QFeature) -> skynet_tensor::Result<QFeature> {
         let (dw, pw) = &self.bundles[idx];
         if fused {
             if fusion::enabled() {
-                match qfused_forward(dw, pw, q) {
-                    Ok((out, sats)) => {
-                        record_bundle_saturation(idx, sats.dw, sats.pw);
-                        return Ok(out);
-                    }
-                    Err(_) => record_fused_fallback(),
-                }
-            } else {
-                record_fused_fallback();
+                let (out, sats) = qfused_forward(dw, pw, q)?;
+                record_bundle_saturation(idx, sats.dw, sats.pw);
+                return Ok(out);
             }
+            record_fused_fallback();
         }
         let (mid, dw_sat) = dw.forward_counted(q)?;
         let (out, pw_sat) = pw.forward_counted(&mid)?;
@@ -503,12 +498,14 @@ impl QuantizedSkyNet {
                     q
                 }
                 QOp::Concat => {
+                    let _span = telemetry::span("skynet.int8.concat");
                     let by = bypass.take().expect("ReorgFork precedes Concat");
                     cur.take()
                         .expect("Quantize precedes Concat")
                         .concat_channels(&by)?
                 }
                 QOp::Head => {
+                    let _span = telemetry::span("skynet.int8.head");
                     let q = cur.take().expect("Quantize precedes the head");
                     return self.head.forward_dequant(&q);
                 }

@@ -46,8 +46,10 @@ fn random_images(n: usize, h: usize, w: usize, seed: u64) -> Tensor {
     .unwrap()
 }
 
+/// Width ÷8: at ÷16 the random-init network's activations die out and
+/// every output is exactly 0, which would make the CRC checks vacuous.
 fn calibrated_engine(variant: Variant, seed: u64) -> (SkyNet, QuantizedSkyNet) {
-    let cfg = SkyNetConfig::new(variant, Act::Relu6).with_width_divisor(16);
+    let cfg = SkyNetConfig::new(variant, Act::Relu6).with_width_divisor(8);
     let mut net = SkyNet::new(cfg, &mut SkyRng::new(seed));
     let mut cal = Calibrator::new(variant, CalibMethod::MaxAbs);
     for s in 0..3 {
@@ -209,4 +211,58 @@ fn detector_predict_dispatches_to_attached_engine() {
         assert_eq!(p.bbox.w.to_bits(), q.bbox.w.to_bits());
         assert_eq!(p.bbox.h.to_bits(), q.bbox.h.to_bits());
     }
+}
+
+/// Golden output CRCs of the INT8 engine, one per variant on a fixed
+/// model and input. The other suites compare backends with each other
+/// and fused with staged; only a pinned value catches a rounding change
+/// applied to every backend alike.
+#[test]
+fn int8_forward_matches_golden_crc() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    for (variant, golden) in [
+        (Variant::A, 0x4f87_8ac0),
+        (Variant::B, 0xdf82_0841),
+        (Variant::C, 0x2eb2_4871),
+    ] {
+        let (_, engine) = calibrated_engine(variant, 31);
+        let x = random_images(2, 16, 32, 41);
+        let y = engine.forward(&x).unwrap();
+        let distinct: std::collections::BTreeSet<u32> =
+            y.as_slice().iter().map(|v| v.to_bits()).collect();
+        assert!(
+            distinct.len() > y.as_slice().len() / 2,
+            "{variant}: degenerate output map"
+        );
+        let crc = output_crc(&y);
+        assert_eq!(crc, golden, "{variant}: INT8 output CRC {crc:#010x} moved");
+    }
+}
+
+/// A malformed input (one channel, not three) is a caller error: the
+/// forward returns it once, without retrying the staged pair and
+/// without reporting a fusion fallback.
+#[test]
+fn malformed_input_errors_without_fused_fallback() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (_, engine) = calibrated_engine(Variant::C, 19);
+    let mut rng = SkyRng::new(33);
+    let shape = Shape::new(1, 1, 16, 32);
+    let x = Tensor::from_vec(
+        shape,
+        (0..shape.numel()).map(|_| rng.normal(0.5, 0.25)).collect(),
+    )
+    .unwrap();
+    telemetry::Builder::new().metrics(true).trace(false).apply();
+    telemetry::reset_metrics();
+    let result = with_fusion(true, || engine.forward(&x));
+    let fallbacks = telemetry::snapshot()
+        .counter("quant.fused.fallback")
+        .unwrap_or(0);
+    telemetry::Builder::new()
+        .metrics(false)
+        .trace(false)
+        .apply();
+    assert!(result.is_err(), "a 1-channel image must be rejected");
+    assert_eq!(fallbacks, 0, "a caller error is not a fusion fallback");
 }

@@ -10,7 +10,7 @@
 //! * [`QDwConv3`] — BN-folded 3×3 depth-wise weights quantized to `i8`
 //!   with **per-channel** symmetric scales, integer stencil via
 //!   [`qint::dwconv3_i8`], then the
-//!   scalar requantization epilogue (folded bias, fused activation
+//!   [`qint::requant_i8`] epilogue (folded bias, fused activation
 //!   clamp, next stage's scale);
 //! * [`QPointwise`] — BN-folded 1×1 point-wise weights quantized the
 //!   same way, executed as an integer matrix product per batch item

@@ -4,7 +4,7 @@
 //! This is the executable INT8 counterpart of the f32 kernel family
 //! ([`dwconv`](crate::dwconv), [`matmul`](crate::matmul)). The hot
 //! kernels are written once as generic functions over the [`QI8x32`]
-//! trait — the integer sibling of [`F32x8`](crate::simd::F32x8) — and
+//! trait — the integer sibling of [`F32x8`] — and
 //! instantiated for the same three backends under the same
 //! `SKYNET_SIMD` runtime dispatch ([`simd::active`]):
 //!
@@ -52,11 +52,24 @@
 //! `qint_equivalence` proptest suite still asserts it bitwise, wrap
 //! boundaries included.
 //!
-//! Requantization (`i32` accumulator → `i8` activation) runs in
-//! scalar f32 on every backend — one multiply, one add, one
-//! `f32::round` (ties away from zero), one clamp per element, in
-//! element order — so it is deterministic by the same
-//! replay-the-exact-sequence argument as the f32 kernels.
+//! ## The f32 epilogues
+//!
+//! Quantization (`f32` → `i8`, [`quantize_i8`]) and requantization
+//! (`i32` accumulator → `i8` activation, [`requant_i8`]) are f32 math:
+//! one multiply, one add, an optional activation clamp, one divide, one
+//! round-half-away-from-zero and one `±127` clamp per element. They are
+//! written once over the 8-lane [`F32x8`] trait and run 8 elements at a
+//! time on every backend (`avx2pair` uses the AVX2 body), with the
+//! remainder through the scalar oracles [`quantize_i8_scalar`] /
+//! [`requant_i8_scalar`]. They stay bit-identical to those oracles
+//! because each lane performs the same IEEE-754 operations: `cvtdq2ps`
+//! rounds to nearest-even like `as f32`; mul, add and divide are
+//! correctly rounded (and never fused); `maxps`/`minps` reproduce the
+//! oracle's `if v > lo` selects; [`F32x8::round`] is an exact emulation
+//! of [`f32::round`]; and the `±127` clamp, the NaN → 0 mapping and the
+//! saturation count all act on the rounded value. The
+//! `qint_equivalence` suite asserts it bitwise on ties, ±0, ±∞, NaN
+//! and the `i32` extremes.
 //!
 //! ## Lane width
 //!
@@ -71,11 +84,16 @@
 //! When metrics are on, `quant.<op>.lanes_used` counters tally the
 //! elements processed through full 32-lane blocks, and the saturation
 //! helpers return clamp counts their callers publish as
-//! `quant.<op>.saturated` (see OBSERVABILITY.md).
+//! `quant.<op>.saturated` (see OBSERVABILITY.md). Spans:
+//! `tensor.qmatmul`, `tensor.qdwconv3`, `tensor.qquantize`,
+//! `tensor.qpool_fwd` and `tensor.qreorg`.
 
 use crate::parallel::par_chunks_mut;
-use crate::simd::{self, Backend};
-use crate::telemetry;
+use crate::simd::{self, vector_cover, Backend, F32x8, ScalarV, LANES};
+#[cfg(target_arch = "x86_64")]
+use crate::simd::{Avx2V, Sse2V};
+use crate::{scratch, telemetry};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Lane count of the integer kernel family: one AVX2 register of
 /// `i8`s. Fixed on every backend so the block structure — and the
@@ -210,7 +228,7 @@ impl QI8x32 for Sse2Q {
 /// `cvtepi16_epi32` → `add_epi32`, 32 elements per call. Only
 /// instantiated behind `#[target_feature(enable = "avx2")]` wrappers
 /// after runtime detection, exactly like
-/// [`Avx2V`](crate::simd::Avx2V).
+/// [`Avx2V`].
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
 pub struct Avx2Q(std::arch::x86_64::__m256i);
@@ -750,8 +768,135 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 }
 
 // ---------------------------------------------------------------------------
-// Quantize / requantize / dequantize (scalar, shared by all backends)
+// Quantize / requantize (8-lane f32, with scalar oracles) / dequantize
 // ---------------------------------------------------------------------------
+
+/// Elements per parallel task of [`quantize_i8`]: a fixed size, so the
+/// decomposition (and the per-task saturation partial sums) never
+/// depends on the thread count.
+const QUANTIZE_CHUNK: usize = 16 * 1024;
+
+/// Elements between flushes of the per-lane f32 saturation counters of
+/// [`count_blocks`]: each lane gains at most one per 8-element block,
+/// so its count stays far below 2²⁴ and is exact in f32.
+const COUNT_FLUSH: usize = 1 << 20;
+
+/// Runs `block(j)` over the full 8-lane blocks `j = 0, 8, …` below
+/// `n8`; each call returns a per-lane 0/1 saturation vector, and the
+/// lanes are summed into the returned count.
+#[inline(always)]
+fn count_blocks<V: F32x8>(n8: usize, mut block: impl FnMut(usize) -> V) -> u64 {
+    let mut total = 0u64;
+    for j0 in (0..n8).step_by(COUNT_FLUSH) {
+        let mut lanes = V::splat(0.0);
+        for j in (j0..n8.min(j0 + COUNT_FLUSH)).step_by(LANES) {
+            lanes = lanes.add(block(j));
+        }
+        total += lanes.to_array().iter().map(|&c| c as u64).sum::<u64>();
+    }
+    total
+}
+
+/// The 8-lane [`quantize_i8`] body. Per lane it performs the oracle's
+/// operations: divide, [`F32x8::round`], then a finite test (`|q| <
+/// ∞`, false for NaN) that maps non-finite codes to 0 and counts them
+/// with the clamped ones (`!(|q| < 128)` on an integral `q`). The tail
+/// runs the oracle, [`quantize_i8_scalar`].
+#[inline(always)]
+fn quantize_g<V: F32x8>(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
+    let n8 = vector_cover(src.len());
+    let sv = V::splat(scale);
+    let (lim, neg, past) = (
+        V::splat(QMAX as f32),
+        V::splat(-(QMAX as f32)),
+        V::splat(QMAX as f32 + 1.0),
+    );
+    let (zero, one, inf) = (V::splat(0.0), V::splat(1.0), V::splat(f32::INFINITY));
+    count_blocks::<V>(n8, |j| {
+        // SAFETY: j + LANES <= n8 <= src.len() <= dst.len().
+        let q = unsafe { V::load_ptr(src.as_ptr().add(j)) }.div(sv).round();
+        let a = q.abs();
+        let code = V::select(a.less_than(inf), q.max(neg).min(lim), zero);
+        // SAFETY: as above.
+        unsafe { code.store_i8_ptr(dst.as_mut_ptr().add(j)) };
+        V::select(a.less_than(past), zero, one)
+    }) + quantize_i8_scalar(&src[n8..], scale, &mut dst[n8..])
+}
+
+/// The 8-lane [`requant_i8`] body: `cvtdq2ps`, mul then add (never
+/// fused), the activation clamp as `max(v, lo)` / `min(v, hi)` (the
+/// `maxps`/`minps` rule *is* the oracle's `if v > lo` select), divide,
+/// [`F32x8::round`], and the `±127` clamp with the constant as the
+/// first operand so a NaN lane survives it and the final finite test
+/// maps it to 0. Saturation counts `127 < |q|` (false for NaN), like
+/// the oracle. The tail runs the oracle, [`requant_i8_scalar`].
+#[inline(always)]
+fn requant_g<V: F32x8>(
+    acc: &[i32],
+    mult: f32,
+    bias: f32,
+    clamp: Option<(f32, f32)>,
+    out_scale: f32,
+    dst: &mut [i8],
+) -> u64 {
+    let n8 = vector_cover(acc.len());
+    let (mv, bv, sv) = (V::splat(mult), V::splat(bias), V::splat(out_scale));
+    let clamp_v = clamp.map(|(lo, hi)| (V::splat(lo), V::splat(hi)));
+    let (lim, neg, past) = (
+        V::splat(QMAX as f32),
+        V::splat(-(QMAX as f32)),
+        V::splat(QMAX as f32 + 1.0),
+    );
+    let (zero, one) = (V::splat(0.0), V::splat(1.0));
+    count_blocks::<V>(n8, |j| {
+        // SAFETY: j + LANES <= n8 <= acc.len() <= dst.len().
+        let mut v = unsafe { V::load_i32_ptr(acc.as_ptr().add(j)) }
+            .mul(mv)
+            .add(bv);
+        if let Some((lo, hi)) = clamp_v {
+            v = v.max(lo).min(hi);
+        }
+        let q = v.div(sv).round();
+        let c = neg.max(lim.min(q));
+        let code = V::select(c.abs().less_than(past), c, zero);
+        // SAFETY: as above.
+        unsafe { code.store_i8_ptr(dst.as_mut_ptr().add(j)) };
+        V::select(lim.less_than(q.abs()), one, zero)
+    }) + requant_i8_scalar(&acc[n8..], mult, bias, clamp, out_scale, &mut dst[n8..])
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_avx2(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
+    quantize_g::<Avx2V>(src, scale, dst)
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn requant_avx2(
+    acc: &[i32],
+    mult: f32,
+    bias: f32,
+    clamp: Option<(f32, f32)>,
+    out_scale: f32,
+    dst: &mut [i8],
+) -> u64 {
+    requant_g::<Avx2V>(acc, mult, bias, clamp, out_scale, dst)
+}
+
+fn quantize_be(be: Backend, src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
+    match be {
+        Backend::Scalar => quantize_g::<ScalarV>(src, scale, dst),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => quantize_g::<Sse2V>(src, scale, dst),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the Avx2 backends are only ever active after runtime
+        // detection succeeded (`simd::active`/`simd::force` enforce it).
+        Backend::Avx2 | Backend::Avx2Pair => unsafe { quantize_avx2(src, scale, dst) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("vector backends are never active off x86_64"),
+    }
+}
 
 /// Quantizes `src` to symmetric `i8`: `q = round(v / scale)` clamped to
 /// `[-QMAX, QMAX]`, zero-point 0. `f32::round` ties away from zero —
@@ -760,11 +905,37 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
 /// `quant.<op>.saturated` counter). Non-finite inputs quantize to 0 and
 /// count as saturated.
 ///
+/// Runs the 8-lane body of the active backend over fixed
+/// 16 Ki-element chunks on the [`parallel`](crate::parallel) pool;
+/// the per-chunk counts are summed as `u64`, so the total is
+/// schedule-independent, and every backend matches
+/// [`quantize_i8_scalar`] bit for bit.
+///
 /// # Panics
 ///
 /// Panics when `dst` is shorter than `src` or `scale` is not a
 /// strictly positive finite number.
 pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
+    assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
+    assert!(dst.len() >= src.len(), "dst too short");
+    let _span = telemetry::span("tensor.qquantize");
+    let be = simd::active();
+    let saturated = AtomicU64::new(0);
+    par_chunks_mut(&mut dst[..src.len()], QUANTIZE_CHUNK, |i, d| {
+        let s = &src[i * QUANTIZE_CHUNK..i * QUANTIZE_CHUNK + d.len()];
+        saturated.fetch_add(quantize_be(be, s, scale, d), Ordering::Relaxed);
+    });
+    saturated.into_inner()
+}
+
+/// The scalar oracle of [`quantize_i8`]: one element at a time, in
+/// order, with [`f32::round`]. It is the specification the vector
+/// bodies are tested against.
+///
+/// # Panics
+///
+/// As [`quantize_i8`].
+pub fn quantize_i8_scalar(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
     assert!(scale.is_finite() && scale > 0.0, "scale must be positive");
     assert!(dst.len() >= src.len(), "dst too short");
     let mut saturated = 0u64;
@@ -792,16 +963,55 @@ pub fn quantize_i8(src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
 /// ```
 ///
 /// `mult` is `in_scale · w_scale` for the producing channel; `bias` is
-/// the (BN-folded) f32 bias. Every operation is a scalar f32 op in
-/// element order on every backend — the deterministic epilogue of the
-/// integer kernels. Returns the clamp count at the `i8` step (the
-/// activation clamp is semantics, not saturation).
+/// the (BN-folded) f32 bias. The active backend runs 8-lane blocks of
+/// exactly these IEEE-754 operations per element (mul then add, never
+/// fused; an exact round-half-away-from-zero) and the remainder through
+/// [`requant_i8_scalar`], so the output and the count are bit-identical
+/// to that oracle on every backend, and every element depends only on
+/// its own accumulator — any banding of the call agrees. Returns the
+/// clamp count at the `i8` step (the activation clamp is semantics, not
+/// saturation).
 ///
 /// # Panics
 ///
 /// Panics when `dst` is shorter than `acc` or `out_scale` is not a
 /// strictly positive finite number.
 pub fn requant_i8(
+    acc: &[i32],
+    mult: f32,
+    bias: f32,
+    clamp: Option<(f32, f32)>,
+    out_scale: f32,
+    dst: &mut [i8],
+) -> u64 {
+    assert!(
+        out_scale.is_finite() && out_scale > 0.0,
+        "out_scale must be positive"
+    );
+    assert!(dst.len() >= acc.len(), "dst too short");
+    match simd::active() {
+        Backend::Scalar => requant_g::<ScalarV>(acc, mult, bias, clamp, out_scale, dst),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Sse2 => requant_g::<Sse2V>(acc, mult, bias, clamp, out_scale, dst),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the Avx2 backends are only ever active after runtime
+        // detection succeeded (`simd::active`/`simd::force` enforce it).
+        Backend::Avx2 | Backend::Avx2Pair => unsafe {
+            requant_avx2(acc, mult, bias, clamp, out_scale, dst)
+        },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => unreachable!("vector backends are never active off x86_64"),
+    }
+}
+
+/// The scalar oracle of [`requant_i8`]: one element at a time, in
+/// order, with [`f32::round`] — the specification the vector bodies are
+/// tested against.
+///
+/// # Panics
+///
+/// As [`requant_i8`].
+pub fn requant_i8_scalar(
     acc: &[i32],
     mult: f32,
     bias: f32,
@@ -825,6 +1035,7 @@ pub fn requant_i8(
         if q.abs() > QMAX as f32 {
             saturated += 1;
         }
+        // A NaN `q` is not counted, and `NaN as i8` is 0.
         *d = q.clamp(-(QMAX as f32), QMAX as f32) as i8;
     }
     saturated
@@ -854,6 +1065,12 @@ pub fn dequant_f32(acc: &[i32], mult: f32, bias: f32, dst: &mut [f32]) {
 /// `q ↦ q·scale` is monotone, so the integer max picks the same winner
 /// the f32 max would.
 ///
+/// Output planes are distributed over the [`parallel`](crate::parallel)
+/// pool. Each output row first takes the column-wise max of its `k`
+/// input rows, then slides a `k`-wide window max along that row; both
+/// are contiguous passes that vectorize for any `k`. An integer max is
+/// exact in any order, so the result is independent of the schedule.
+///
 /// # Panics
 ///
 /// Panics when `k == 0`, the spatial extents are not divisible by `k`,
@@ -867,25 +1084,34 @@ pub fn maxpool2d_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, k: usize
     assert!(src.len() >= n * c * h * w, "input too short");
     let (oh, ow) = (h / k, w / k);
     let mut out = vec![0i8; n * c * oh * ow];
-    for pi in 0..n * c {
-        let base = pi * h * w;
-        let obase = pi * oh * ow;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = i8::MIN;
-                for ky in 0..k {
-                    let row = base + (oy * k + ky) * w + ox * k;
-                    for kx in 0..k {
-                        let v = src[row + kx];
-                        if v > best {
-                            best = v;
-                        }
-                    }
+    if out.is_empty() {
+        return out;
+    }
+    let _span = telemetry::span("tensor.qpool_fwd");
+    par_chunks_mut(&mut out, oh * ow, |pi, plane| {
+        let input = &src[pi * h * w..(pi + 1) * h * w];
+        let mut colmax = scratch::checkout_i8("tensor.qpool_fwd", w);
+        let colmax = &mut colmax[..w];
+        for (orow, rows) in plane.chunks_exact_mut(ow).zip(input.chunks_exact(k * w)) {
+            colmax.copy_from_slice(&rows[..w]);
+            for srow in rows[w..].chunks_exact(w) {
+                for (m, &v) in colmax.iter_mut().zip(srow) {
+                    *m = (*m).max(v);
                 }
-                out[obase + oy * ow + ox] = best;
+            }
+            // After k − 1 shift-by-one passes (each reads `x + 1`
+            // before overwriting it), colmax[x] = max of the original
+            // colmax[x..x + k]: every window's max sits at its start.
+            for _ in 1..k {
+                for x in 0..w - 1 {
+                    colmax[x] = colmax[x].max(colmax[x + 1]);
+                }
+            }
+            for (o, &m) in orow.iter_mut().zip(colmax.iter().step_by(k)) {
+                *o = m;
             }
         }
-    }
+    });
     out
 }
 
@@ -894,6 +1120,10 @@ pub fn maxpool2d_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, k: usize
 /// intra-block offset `(dy, dx)` land in output channel
 /// `c·s² + dy·s + dx`. A pure permutation, so the quantization scale
 /// rides along unchanged.
+///
+/// The `s²` output planes fed by one input plane are contiguous; each
+/// such group is one task on the [`parallel`](crate::parallel) pool,
+/// copied row by row.
 ///
 /// # Panics
 ///
@@ -906,26 +1136,24 @@ pub fn reorg_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, s: usize) ->
         "spatial extents {h}×{w} not divisible by {s}"
     );
     assert!(src.len() >= n * c * h * w, "input too short");
-    let (oh, ow, oc) = (h / s, w / s, c * s * s);
-    let mut out = vec![0i8; n * oc * oh * ow];
-    for ni in 0..n {
-        for ci in 0..c {
-            let in_base = (ni * c + ci) * h * w;
-            for dy in 0..s {
-                for dx in 0..s {
-                    let och = ci * s * s + dy * s + dx;
-                    let out_base = (ni * oc + och) * oh * ow;
-                    for oy in 0..oh {
-                        let in_row = in_base + (oy * s + dy) * w + dx;
-                        let out_row = out_base + oy * ow;
-                        for ox in 0..ow {
-                            out[out_row + ox] = src[in_row + ox * s];
-                        }
-                    }
+    let (oh, ow) = (h / s, w / s);
+    let mut out = vec![0i8; n * c * s * s * oh * ow];
+    if out.is_empty() {
+        return out;
+    }
+    let _span = telemetry::span("tensor.qreorg");
+    par_chunks_mut(&mut out, s * s * oh * ow, |pi, planes| {
+        let input = &src[pi * h * w..(pi + 1) * h * w];
+        for (sub, plane) in planes.chunks_exact_mut(oh * ow).enumerate() {
+            let (dy, dx) = (sub / s, sub % s);
+            for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
+                let irow = &input[(oy * s + dy) * w + dx..];
+                for (o, &v) in orow.iter_mut().zip(irow.iter().step_by(s)) {
+                    *o = v;
                 }
             }
         }
-    }
+    });
     out
 }
 

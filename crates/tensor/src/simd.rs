@@ -22,6 +22,11 @@
 //! [`parallel`](crate::parallel) extends to a cross-ISA guarantee. The
 //! `simd_equivalence` proptest suite asserts it bitwise.
 //!
+//! The trait also carries the few ops the INT8 f32 epilogues in
+//! [`qint`](crate::qint) need — an `i32` → f32 convert, divide, an
+//! exact [`f32::round`] and a narrowing `i8` store — under the same
+//! per-lane bit-identity rule.
+//!
 //! ## Backend selection
 //!
 //! The active backend is a process-wide setting resolved once from the
@@ -304,6 +309,29 @@ pub trait F32x8: Copy {
     fn reduce_add(self) -> f32;
     /// Lanes as an array (for scalar scatter of vector products).
     fn to_array(self) -> [f32; 8];
+    /// Loads 8 `i32`s converted to f32 lanes. The conversion rounds to
+    /// nearest-even (`cvtdq2ps` under the default MXCSR), exactly like
+    /// `v as f32`.
+    ///
+    /// # Safety
+    ///
+    /// `src` must be valid for reads of 8 consecutive `i32`s.
+    unsafe fn load_i32_ptr(src: *const i32) -> Self;
+    /// Lane-wise `self / o` (IEEE, correctly rounded).
+    fn div(self, o: Self) -> Self;
+    /// Lane-wise [`f32::round`]: nearest integer, ties away from zero,
+    /// the sign of zero kept, ±∞ unchanged, NaN stays NaN. The vector
+    /// backends emulate it as `t = trunc(x)`, then `t ± 1` when
+    /// `|x − t| ≥ 0.5` — every step is exact (`x − t` is the exact
+    /// fraction, and `t ± 1` is an exact integer below 2²⁴).
+    fn round(self) -> Self;
+    /// Narrowing store of 8 lanes as `i8`s. Lanes must already hold
+    /// integers in `[-128, 127]`; other values are unspecified.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for writes of 8 consecutive `i8`s.
+    unsafe fn store_i8_ptr(self, dst: *mut i8);
 }
 
 // ---------------------------------------------------------------------------
@@ -426,6 +454,30 @@ impl F32x8 for ScalarV {
     #[inline(always)]
     fn to_array(self) -> [f32; 8] {
         self.0
+    }
+
+    #[inline(always)]
+    unsafe fn load_i32_ptr(src: *const i32) -> Self {
+        // SAFETY: caller guarantees 8 readable elements.
+        ScalarV(std::array::from_fn(|j| unsafe { *src.add(j) } as f32))
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        ScalarV(std::array::from_fn(|j| self.0[j] / o.0[j]))
+    }
+
+    #[inline(always)]
+    fn round(self) -> Self {
+        ScalarV(self.0.map(f32::round))
+    }
+
+    #[inline(always)]
+    unsafe fn store_i8_ptr(self, dst: *mut i8) {
+        for j in 0..LANES {
+            // SAFETY: caller guarantees 8 writable elements.
+            unsafe { *dst.add(j) = self.0[j] as i8 };
+        }
     }
 }
 
@@ -584,6 +636,65 @@ impl F32x8 for Sse2V {
         self.store(&mut out);
         out
     }
+
+    #[inline(always)]
+    unsafe fn load_i32_ptr(src: *const i32) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees 8 readable elements.
+        unsafe {
+            let p = src as *const __m128i;
+            Sse2V(
+                _mm_cvtepi32_ps(_mm_loadu_si128(p)),
+                _mm_cvtepi32_ps(_mm_loadu_si128(p.add(1))),
+            )
+        }
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        use std::arch::x86_64::*;
+        unsafe { Sse2V(_mm_div_ps(self.0, o.0), _mm_div_ps(self.1, o.1)) }
+    }
+
+    #[inline(always)]
+    fn round(self) -> Self {
+        use std::arch::x86_64::*;
+        // SSE2 has no `roundps`: truncate through `cvttps2dq`, exact
+        // below 2²³ (at or above it every f32 is an integer, and ±∞/NaN
+        // fail the compare, so `x` itself is kept). Then step one unit
+        // away from zero when the exact fraction |x − t| is ≥ 0.5 (NaN
+        // fractions, from ±∞, compare false), and copy x's sign onto the
+        // result so -0.3 rounds to -0.0 like `f32::round` (a negative x
+        // never rounds to a positive value, so OR-ing the sign is exact).
+        #[inline(always)]
+        unsafe fn half(x: __m128) -> __m128 {
+            unsafe {
+                let sign = _mm_set1_ps(-0.0);
+                let xs = _mm_and_ps(x, sign);
+                let small = _mm_cmplt_ps(_mm_andnot_ps(sign, x), _mm_set1_ps(8_388_608.0));
+                let ti = _mm_cvtepi32_ps(_mm_cvttps_epi32(x));
+                let t = _mm_or_ps(_mm_and_ps(small, ti), _mm_andnot_ps(small, x));
+                let frac = _mm_andnot_ps(sign, _mm_sub_ps(x, t));
+                let step = _mm_and_ps(
+                    _mm_cmpge_ps(frac, _mm_set1_ps(0.5)),
+                    _mm_or_ps(xs, _mm_set1_ps(1.0)),
+                );
+                _mm_or_ps(_mm_add_ps(t, step), xs)
+            }
+        }
+        unsafe { Sse2V(half(self.0), half(self.1)) }
+    }
+
+    #[inline(always)]
+    unsafe fn store_i8_ptr(self, dst: *mut i8) {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees 8 writable elements; the lanes hold
+        // in-range integers, so the saturating packs are plain narrows.
+        unsafe {
+            let w = _mm_packs_epi32(_mm_cvttps_epi32(self.0), _mm_cvttps_epi32(self.1));
+            _mm_storel_epi64(dst as *mut __m128i, _mm_packs_epi16(w, w));
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -729,6 +840,53 @@ impl F32x8 for Avx2V {
         let mut out = [0.0f32; 8];
         self.store(&mut out);
         out
+    }
+
+    #[inline(always)]
+    unsafe fn load_i32_ptr(src: *const i32) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees 8 readable elements.
+        unsafe {
+            Avx2V(_mm256_cvtepi32_ps(_mm256_loadu_si256(
+                src as *const __m256i,
+            )))
+        }
+    }
+
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        use std::arch::x86_64::*;
+        unsafe { Avx2V(_mm256_div_ps(self.0, o.0)) }
+    }
+
+    #[inline(always)]
+    fn round(self) -> Self {
+        use std::arch::x86_64::*;
+        // The SSE2 algorithm, with `vroundps` truncating directly.
+        unsafe {
+            let x = self.0;
+            let sign = _mm256_set1_ps(-0.0);
+            let xs = _mm256_and_ps(x, sign);
+            let t = _mm256_round_ps::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(x);
+            let frac = _mm256_andnot_ps(sign, _mm256_sub_ps(x, t));
+            let step = _mm256_and_ps(
+                _mm256_cmp_ps::<_CMP_GE_OQ>(frac, _mm256_set1_ps(0.5)),
+                _mm256_or_ps(xs, _mm256_set1_ps(1.0)),
+            );
+            Avx2V(_mm256_or_ps(_mm256_add_ps(t, step), xs))
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store_i8_ptr(self, dst: *mut i8) {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees 8 writable elements; the lanes hold
+        // in-range integers, so the saturating packs are plain narrows.
+        unsafe {
+            let i = _mm256_cvttps_epi32(self.0);
+            let w = _mm_packs_epi32(_mm256_castsi256_si128(i), _mm256_extracti128_si256::<1>(i));
+            _mm_storel_epi64(dst as *mut __m128i, _mm_packs_epi16(w, w));
+        }
     }
 }
 
@@ -1028,6 +1186,64 @@ mod tests {
             ScalarV::select(om, o, ob).to_array(),
             "select"
         );
+        assert_eq!(a.div(b).to_array(), o.div(ob).to_array(), "div");
+        let ints = [
+            i32::MIN,
+            i32::MAX,
+            -16_777_217,
+            16_777_217,
+            -1,
+            0,
+            7,
+            1 << 30,
+        ];
+        // SAFETY: `ints` holds 8 elements.
+        let (vi, oi) = unsafe {
+            (
+                V::load_i32_ptr(ints.as_ptr()),
+                ScalarV::load_i32_ptr(ints.as_ptr()),
+            )
+        };
+        assert_eq!(vi.to_array(), oi.to_array(), "load_i32");
+        let ties = [
+            -2.5f32,
+            -0.5,
+            -0.3,
+            -0.0,
+            0.49999997,
+            2.5,
+            8_388_607.5,
+            1e10,
+        ];
+        let odd = [
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -1.5,
+            0.5,
+            1.5,
+            -8_388_609.0,
+            3.7,
+            -127.5,
+        ];
+        for xs in [ties, odd] {
+            let (vr, or) = (V::load(&xs).round(), ScalarV::load(&xs).round());
+            assert_eq!(
+                vr.to_array().map(f32::to_bits),
+                or.to_array().map(f32::to_bits),
+                "round {xs:?}"
+            );
+        }
+        let nan = V::load(&[f32::NAN; 8]).round().to_array();
+        assert!(nan.iter().all(|v| v.is_nan()), "round keeps NaN");
+        let narrow = [-128.0f32, 127.0, -1.0, 0.0, -0.0, 5.0, -127.0, 64.0];
+        let (mut vd, mut od) = ([0i8; 8], [0i8; 8]);
+        // SAFETY: both buffers hold 8 elements.
+        unsafe {
+            V::load(&narrow).store_i8_ptr(vd.as_mut_ptr());
+            ScalarV::load(&narrow).store_i8_ptr(od.as_mut_ptr());
+        }
+        assert_eq!(vd, od, "store_i8");
+        assert_eq!(od, [-128, 127, -1, 0, 0, 5, -127, 64]);
     }
 
     #[test]
