@@ -1,8 +1,7 @@
 //! # skynet-bench
 //!
 //! The benchmark harness: one binary per table/figure of the paper (see
-//! `src/bin/`) plus Criterion micro-benchmarks (see `benches/`). This
-//! library holds the shared plumbing: standard dataset builders, a
+//! `src/bin/`). This library holds the shared plumbing: standard dataset builders, a
 //! detector-training runner with a fast/full budget switch, and
 //! fixed-width table printing that shows paper-reported values next to
 //! our measurements.

@@ -9,7 +9,7 @@
 //! exploits.
 
 use crate::desc::LayerDesc;
-use skynet_nn::{Act, Activation, BatchNorm2d, Conv2d, DwConv2d, Sequential};
+use skynet_nn::{Act, Activation, BatchNorm2d, Conv2d, DwConv2d, Layer, Sequential};
 use skynet_tensor::{conv::ConvGeometry, rng::SkyRng};
 
 /// One primitive component inside a Bundle.
@@ -209,6 +209,44 @@ impl BundleSpec {
             .map(|l| l.params())
             .sum()
     }
+}
+
+/// The six typed layers of a built [`BundleSpec::skynet`] chain, in
+/// order: DW-Conv3, BN, act, PW-Conv1, BN, act.
+pub(crate) type SkyNetBundleParts<'a> = (
+    &'a DwConv2d,
+    &'a BatchNorm2d,
+    &'a Activation,
+    &'a Conv2d,
+    &'a BatchNorm2d,
+    &'a Activation,
+);
+
+/// Downcasts bundle `idx` (0-based) into its six typed layers — the one
+/// place the fused f32 plan and the INT8 engine learn what a built bundle
+/// holds. The error names the first layer that does not fit.
+pub(crate) fn skynet_bundle_parts(
+    seq: &Sequential,
+    idx: usize,
+) -> Result<SkyNetBundleParts<'_>, String> {
+    let mismatch =
+        |what: String| format!("bundle {}: expected DW→BN→Act→PW→BN→Act, {what}", idx + 1);
+    let layers = seq.layers();
+    if layers.len() != 6 {
+        return Err(mismatch(format!("found {} layers", layers.len())));
+    }
+    fn cast<T: 'static>(layer: &dyn Layer) -> Option<&T> {
+        layer.as_any().and_then(|a| a.downcast_ref::<T>())
+    }
+    let is_not = |i: usize, ty: &str| mismatch(format!("layer {} is not {ty}", i + 1));
+    Ok((
+        cast(&*layers[0]).ok_or_else(|| is_not(0, "DwConv2d"))?,
+        cast(&*layers[1]).ok_or_else(|| is_not(1, "BatchNorm2d"))?,
+        cast(&*layers[2]).ok_or_else(|| is_not(2, "Activation"))?,
+        cast(&*layers[3]).ok_or_else(|| is_not(3, "Conv2d"))?,
+        cast(&*layers[4]).ok_or_else(|| is_not(4, "BatchNorm2d"))?,
+        cast(&*layers[5]).ok_or_else(|| is_not(5, "Activation"))?,
+    ))
 }
 
 #[cfg(test)]

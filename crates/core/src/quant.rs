@@ -25,18 +25,19 @@
 //!    one symmetric scale per requant point ([`CalibMethod::MaxAbs`] or
 //!    a saturating [`CalibMethod::Percentile`]);
 //! 3. [`QuantizedSkyNet::build`] folds BN into the convolutions,
-//!    quantizes weights per-channel, and assembles the integer stage
-//!    graph;
+//!    quantizes weights per-channel, and holds one integer DW→PW stage
+//!    pair per bundle ([`QExecPlan`]); its forward walks the same
+//!    [`topology`] as the float network;
 //! 4. [`crate::detector::Detector::attach_int8`] routes `predict`
 //!    through the engine, so serving canaries and evaluation harnesses
 //!    run the integer path unchanged.
 //!
 //! See `QUANTIZATION.md` at the repo root for the end-to-end workflow.
 
-use crate::plan::{QExecPlan, QOp};
-use crate::skynet::{SkyNet, Variant};
+use crate::bundle::skynet_bundle_parts;
+use crate::skynet::{topology, Node, SkyNet, Variant, POOL_WINDOW, REORG_BLOCK};
 use skynet_nn::qint::{qfused_forward, QDwConv3, QFeature, QPointwise};
-use skynet_nn::{Activation, BatchNorm2d, Conv2d, DwConv2d, Layer, Mode, Sequential};
+use skynet_nn::{Layer, Mode, Sequential};
 use skynet_tensor::ops::concat_channels;
 use skynet_tensor::{fusion, telemetry, Tensor};
 
@@ -127,6 +128,8 @@ impl ActHist {
 /// and need no entry; the head dequantizes straight from `i32`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantPlan {
+    /// The variant of the network the scales were calibrated on.
+    pub variant: Variant,
     /// How scales were derived from the histograms.
     pub method: CalibMethod,
     /// Number of images observed during calibration.
@@ -139,6 +142,12 @@ pub struct QuantPlan {
 
 impl QuantPlan {
     fn validate(&self, variant: Variant) -> Result<(), QuantError> {
+        if self.variant != variant {
+            return Err(QuantError::BadPlan(format!(
+                "plan was calibrated on variant {}, network is variant {variant}",
+                self.variant
+            )));
+        }
         let want = bundle_count(variant);
         if self.stage_scales.len() != want {
             return Err(QuantError::BadPlan(format!(
@@ -193,13 +202,12 @@ impl From<skynet_tensor::TensorError> for QuantError {
     }
 }
 
-/// Number of quantized bundles in a variant's graph (Bundles 1–5 plus
-/// Bundle 6 for B/C).
+/// Number of quantized bundles in a variant's topology (Bundles 1–5
+/// plus Bundle 6 for B/C).
 fn bundle_count(variant: Variant) -> usize {
-    match variant {
-        Variant::A => 5,
-        Variant::B | Variant::C => 6,
-    }
+    topology(variant)
+        .filter(|n| matches!(n, Node::Bundle(_)))
+        .count()
 }
 
 /// Runs one bundle layer-by-layer in eval mode, recording the
@@ -234,6 +242,7 @@ fn run_bundle_recording(
 /// accumulates activation histograms at every requantization point.
 #[derive(Debug)]
 pub struct Calibrator {
+    variant: Variant,
     method: CalibMethod,
     input: ActHist,
     stages: Vec<[ActHist; 2]>,
@@ -244,6 +253,7 @@ impl Calibrator {
     /// Creates a calibrator for a graph of the given variant.
     pub fn new(variant: Variant, method: CalibMethod) -> Self {
         Calibrator {
+            variant,
             method,
             input: ActHist::new(),
             stages: (0..bundle_count(variant))
@@ -263,33 +273,35 @@ impl Calibrator {
     /// the calibrator's variant or a bundle is not the 6-layer chain;
     /// [`QuantError::Tensor`] on forward errors.
     pub fn observe(&mut self, net: &mut SkyNet, images: &Tensor) -> Result<(), QuantError> {
-        if self.stages.len() != bundle_count(net.cfg.variant) {
+        if net.cfg.variant != self.variant {
             return Err(QuantError::StructureMismatch(format!(
-                "calibrator sized for {} bundles, network has {}",
-                self.stages.len(),
-                bundle_count(net.cfg.variant)
+                "calibrator built for variant {}, network is variant {}",
+                self.variant, net.cfg.variant
             )));
         }
         self.input.observe(images.as_slice());
         let mut cur = images.clone();
         let mut bypass = None;
-        for i in 0..3 {
-            cur = run_bundle_recording(&mut net.bundles[i], &cur, &mut self.stages[i], i)?;
-            if i == 2 && net.cfg.variant != Variant::A {
+        for node in topology(self.variant) {
+            cur = match node {
+                Node::Bundle(b) => {
+                    run_bundle_recording(&mut net.bundles[b], &cur, &mut self.stages[b], b)?
+                }
+                Node::Pool(i) => net.pools[i].forward(&cur, Mode::Eval)?,
                 // Reorg is a permutation: the bypass branch reuses
                 // bundle 3's scale, no extra requant point.
-                bypass = Some(net.reorg.forward(&cur, Mode::Eval)?);
-            }
-            cur = net.pools[i].forward(&cur, Mode::Eval)?;
+                Node::ReorgFork => {
+                    bypass = Some(net.reorg.forward(&cur, Mode::Eval)?);
+                    cur
+                }
+                Node::Concat => {
+                    let by = bypass.take().expect("ReorgFork precedes Concat");
+                    concat_channels(&cur, &by)?
+                }
+                // The head exits to f32; no requant point to record.
+                Node::Head => break,
+            };
         }
-        cur = run_bundle_recording(&mut net.bundles[3], &cur, &mut self.stages[3], 3)?;
-        cur = run_bundle_recording(&mut net.bundles[4], &cur, &mut self.stages[4], 4)?;
-        if let Some(b6) = &mut net.bundle6 {
-            let by = bypass.expect("variants B/C produce a bypass");
-            let cat = concat_channels(&cur, &by)?;
-            run_bundle_recording(b6, &cat, &mut self.stages[5], 5)?;
-        }
-        // The head exits to f32; no requant point to record.
         self.samples += images.shape().n as u32;
         Ok(())
     }
@@ -310,6 +322,7 @@ impl Calibrator {
             telemetry::counter("quant.calib.samples").add(u64::from(self.samples));
         }
         Ok(QuantPlan {
+            variant: self.variant,
             method: self.method,
             samples: self.samples,
             input_scale: self.input.scale(self.method),
@@ -322,43 +335,14 @@ impl Calibrator {
     }
 }
 
-/// Downcasts one bundle's layer chain and folds it into a quantized
-/// DW + PW stage pair.
+/// Folds one bundle's layer chain into a quantized DW + PW stage pair.
 fn quantize_bundle(
     seq: &Sequential,
     scales: [f32; 2],
     bundle_idx: usize,
 ) -> Result<(QDwConv3, QPointwise), QuantError> {
-    let mismatch = |what: &str| {
-        QuantError::StructureMismatch(format!(
-            "bundle {}: expected DW→BN→Act→PW→BN→Act, {what}",
-            bundle_idx + 1
-        ))
-    };
-    let layers = seq.layers();
-    if layers.len() != 6 {
-        return Err(mismatch(&format!("found {} layers", layers.len())));
-    }
-    let cast = |i: usize| layers[i].as_any();
-    let dw = cast(0)
-        .and_then(|a| a.downcast_ref::<DwConv2d>())
-        .ok_or_else(|| mismatch("layer 1 is not DwConv2d"))?;
-    let bn1 = cast(1)
-        .and_then(|a| a.downcast_ref::<BatchNorm2d>())
-        .ok_or_else(|| mismatch("layer 2 is not BatchNorm2d"))?;
-    let act1 = cast(2)
-        .and_then(|a| a.downcast_ref::<Activation>())
-        .ok_or_else(|| mismatch("layer 3 is not Activation"))?;
-    let pw = cast(3)
-        .and_then(|a| a.downcast_ref::<Conv2d>())
-        .ok_or_else(|| mismatch("layer 4 is not Conv2d"))?;
-    let bn2 = cast(4)
-        .and_then(|a| a.downcast_ref::<BatchNorm2d>())
-        .ok_or_else(|| mismatch("layer 5 is not BatchNorm2d"))?;
-    let act2 = cast(5)
-        .and_then(|a| a.downcast_ref::<Activation>())
-        .ok_or_else(|| mismatch("layer 6 is not Activation"))?;
-
+    let (dw, bn1, act1, pw, bn2, act2) =
+        skynet_bundle_parts(seq, bundle_idx).map_err(QuantError::StructureMismatch)?;
     let (s1, sh1) = bn1.folded_scale_shift();
     let (s2, sh2) = bn2.folded_scale_shift();
     let qdw = QDwConv3::fold(dw.weight(), &s1, &sh1, Some(act1.kind()), scales[0]);
@@ -372,6 +356,29 @@ fn quantize_bundle(
     Ok((qdw, qpw))
 }
 
+/// The integer stages of a [`QuantizedSkyNet`]: one folded DW→PW stage
+/// pair per [`Node::Bundle`] (Bundles 1–5, then Bundle 6 for B/C) and
+/// the dequantizing head. The engine's forward walks the topology over
+/// them.
+#[derive(Debug, Clone)]
+pub struct QExecPlan {
+    bundles: Vec<(QDwConv3, QPointwise)>,
+    head: QPointwise,
+}
+
+impl QExecPlan {
+    /// Number of bundles that run the fused INT8 row-tile kernel: those
+    /// whose PW stage requantizes back to `i8`. A head-style stage with
+    /// no output scale exits to f32 and can never feed the fused
+    /// epilogue.
+    pub fn fused_bundles(&self) -> usize {
+        self.bundles
+            .iter()
+            .filter(|(_, pw)| pw.out_scale().is_some())
+            .count()
+    }
+}
+
 /// The executable INT8 form of a trained [`SkyNet`]: BN folded,
 /// weights stored as `i8` with per-channel scales, every convolution
 /// running `i8×i8→i32` integer kernels. Immutable and `Send + Sync`,
@@ -381,11 +388,6 @@ fn quantize_bundle(
 pub struct QuantizedSkyNet {
     variant: Variant,
     input_scale: f32,
-    /// Bundles 1–5 (+ Bundle 6 last, for B/C).
-    bundles: Vec<(QDwConv3, QPointwise)>,
-    head: QPointwise,
-    /// The lowered step list (see [`QExecPlan`]): built once here,
-    /// walked on every forward.
     plan: QExecPlan,
 }
 
@@ -399,34 +401,28 @@ impl QuantizedSkyNet {
     ///
     /// # Errors
     ///
-    /// [`QuantError::BadPlan`] when the plan doesn't fit the variant or
-    /// contains a non-positive scale; [`QuantError::StructureMismatch`]
-    /// when a bundle is not the DW→BN→Act→PW→BN→Act chain.
+    /// [`QuantError::BadPlan`] when the plan was calibrated on another
+    /// variant, doesn't fit the network or contains a non-positive
+    /// scale; [`QuantError::StructureMismatch`] when a bundle is not the
+    /// DW→BN→Act→PW→BN→Act chain.
     pub fn build(net: &SkyNet, plan: &QuantPlan) -> Result<Self, QuantError> {
         plan.validate(net.cfg.variant)?;
-        let mut bundles = Vec::with_capacity(plan.stage_scales.len());
-        for (i, b) in net.bundles.iter().enumerate() {
-            bundles.push(quantize_bundle(b, plan.stage_scales[i], i)?);
-        }
-        if let Some(b6) = &net.bundle6 {
-            bundles.push(quantize_bundle(b6, plan.stage_scales[5], 5)?);
-        }
+        let bundles = net
+            .bundles
+            .iter()
+            .zip(&plan.stage_scales)
+            .enumerate()
+            .map(|(i, (seq, &scales))| quantize_bundle(seq, scales, i))
+            .collect::<Result<_, _>>()?;
         let head = QPointwise::fold(net.head.weight(), net.head.bias_values(), None, None, None);
-        let mut steps = QExecPlan::for_variant(net.cfg.variant);
-        // A bundle fuses when its PW stage requantizes back to `i8`
-        // (always true for real bundles — the predicate guards against
-        // head-style stages ever landing in the bundle list).
-        steps.lower_fused(|b| bundles[b].1.out_scale().is_some());
         Ok(QuantizedSkyNet {
             variant: net.cfg.variant,
             input_scale: plan.input_scale,
-            bundles,
-            head,
-            plan: steps,
+            plan: QExecPlan { bundles, head },
         })
     }
 
-    /// The lowered execution plan (for tests and diagnostics).
+    /// The folded integer stages (for tests and diagnostics).
     pub fn plan(&self) -> &QExecPlan {
         &self.plan
     }
@@ -441,33 +437,31 @@ impl QuantizedSkyNet {
         self.input_scale
     }
 
-    /// Runs one bundle. A fused-lowered bundle first checks the runtime
-    /// [`fusion`] toggle; when the toggle is off it runs the staged pair
-    /// instead and counts the detour under `quant.fused.fallback`. An
-    /// error from the fused kernel is a shape or channel mismatch the
-    /// staged pair would reject too, so it is returned as is. Either
-    /// way the output bits are identical (wrapping-i32 accumulation is
+    /// Runs one bundle through the fused INT8 kernel, or — when the
+    /// runtime [`fusion`] toggle is off — through the staged pair,
+    /// counting the detour under `quant.fused.fallback`. An error from
+    /// the fused kernel is a shape or channel mismatch the staged pair
+    /// would reject too, so it is returned as is. Either way the output
+    /// bits are identical (wrapping-i32 accumulation is
     /// grouping-independent; see [`skynet_tensor::qint`]).
-    fn run_bundle(&self, idx: usize, fused: bool, q: &QFeature) -> skynet_tensor::Result<QFeature> {
-        let (dw, pw) = &self.bundles[idx];
-        if fused {
-            if fusion::enabled() {
-                let (out, sats) = qfused_forward(dw, pw, q)?;
-                record_bundle_saturation(idx, sats.dw, sats.pw);
-                return Ok(out);
-            }
-            record_fused_fallback();
+    fn run_bundle(&self, idx: usize, q: &QFeature) -> skynet_tensor::Result<QFeature> {
+        let (dw, pw) = &self.plan.bundles[idx];
+        if fusion::enabled() {
+            let (out, sats) = qfused_forward(dw, pw, q)?;
+            record_bundle_saturation(idx, sats.dw, sats.pw);
+            return Ok(out);
         }
+        record_fused_fallback();
         let (mid, dw_sat) = dw.forward_counted(q)?;
         let (out, pw_sat) = pw.forward_counted(&mid)?;
         record_bundle_saturation(idx, dw_sat, pw_sat);
         Ok(out)
     }
 
-    /// Runs the integer forward pass by walking the lowered
-    /// [`QExecPlan`]: quantize input → `i8` stage graph → dequantizing
-    /// head. Output is the same `N×10×(H/8)×(W/8)` f32 prediction map
-    /// the float network produces, ready for
+    /// Runs the integer forward pass: quantize the input, then walk the
+    /// variant's [`topology`] through the `i8` stages to the
+    /// dequantizing head. Output is the same `N×10×(H/8)×(W/8)` f32
+    /// prediction map the float network produces, ready for
     /// [`crate::head::decode_best`], and **bit-identical** whether
     /// bundles run fused or unfused.
     ///
@@ -476,47 +470,35 @@ impl QuantizedSkyNet {
     /// Propagates shape errors from the stage graph.
     pub fn forward(&self, images: &Tensor) -> skynet_tensor::Result<Tensor> {
         let _whole = telemetry::span("skynet.int8.forward");
-        let mut cur: Option<QFeature> = None;
+        let (mut cur, sat) = QFeature::quantize(images, self.input_scale);
+        if sat > 0 && telemetry::metrics_enabled() {
+            telemetry::counter("quant.input.saturated").add(sat);
+        }
         let mut bypass = None;
-        for &op in self.plan.ops() {
-            let q = match op {
-                QOp::Quantize => {
-                    let (q, sat) = QFeature::quantize(images, self.input_scale);
-                    if sat > 0 && telemetry::metrics_enabled() {
-                        telemetry::counter("quant.input.saturated").add(sat);
-                    }
-                    q
+        for node in topology(self.variant) {
+            cur = match node {
+                Node::Bundle(b) => self.run_bundle(b, &cur)?,
+                Node::Pool(_) => cur.maxpool(POOL_WINDOW)?,
+                Node::ReorgFork => {
+                    bypass = Some(cur.reorg(REORG_BLOCK)?);
+                    cur
                 }
-                QOp::Bundle { bundle, fused } => {
-                    let q = cur.take().expect("Quantize precedes bundles");
-                    self.run_bundle(bundle, fused, &q)?
-                }
-                QOp::Pool { .. } => cur.take().expect("Quantize precedes pools").maxpool(2)?,
-                QOp::ReorgFork => {
-                    let q = cur.take().expect("Quantize precedes the fork");
-                    bypass = Some(q.reorg(2)?);
-                    q
-                }
-                QOp::Concat => {
+                Node::Concat => {
                     let _span = telemetry::span("skynet.int8.concat");
                     let by = bypass.take().expect("ReorgFork precedes Concat");
-                    cur.take()
-                        .expect("Quantize precedes Concat")
-                        .concat_channels(&by)?
+                    cur.concat_channels(&by)?
                 }
-                QOp::Head => {
+                Node::Head => {
                     let _span = telemetry::span("skynet.int8.head");
-                    let q = cur.take().expect("Quantize precedes the head");
-                    return self.head.forward_dequant(&q);
+                    return self.plan.head.forward_dequant(&cur);
                 }
             };
-            cur = Some(q);
         }
-        unreachable!("every QExecPlan ends with QOp::Head")
+        unreachable!("every topology ends with the head")
     }
 }
 
-/// Counts one fused-lowered bundle that had to take the unfused path.
+/// Counts one bundle that took the staged pair because fusion is off.
 fn record_fused_fallback() {
     if telemetry::metrics_enabled() {
         telemetry::counter("quant.fused.fallback").inc();
@@ -598,6 +580,30 @@ mod tests {
         bad.stage_scales[0][1] = 0.0;
         assert!(matches!(
             QuantizedSkyNet::build(&net, &bad),
+            Err(QuantError::BadPlan(_))
+        ));
+    }
+
+    #[test]
+    fn calibrator_rejects_a_network_of_another_variant() {
+        // B and C have the same bundle count, so only the recorded
+        // variant can tell them apart.
+        let cfg = SkyNetConfig::new(Variant::C, Act::Relu6).with_width_divisor(16);
+        let mut net = SkyNet::new(cfg, &mut SkyRng::new(5));
+        let mut cal = Calibrator::new(Variant::B, CalibMethod::MaxAbs);
+        assert!(matches!(
+            cal.observe(&mut net, &random_images(1, 16, 32, 6)),
+            Err(QuantError::StructureMismatch(_))
+        ));
+    }
+
+    #[test]
+    fn plan_of_another_variant_is_rejected() {
+        let (_, plan_b) = calibrated(Variant::B, 5);
+        let (net_c, plan_c) = calibrated(Variant::C, 5);
+        assert_eq!((plan_b.variant, plan_c.variant), (Variant::B, Variant::C));
+        assert!(matches!(
+            QuantizedSkyNet::build(&net_c, &plan_b),
             Err(QuantError::BadPlan(_))
         ));
     }

@@ -12,6 +12,11 @@
 //!
 //! The head is a classification-free YOLO detector: a 1×1 convolution to
 //! `2 anchors × 5` channels (§5.1).
+//!
+//! The node order is written once, in [`topology`]. Every lowering walks
+//! it: the layer-by-layer forward and backward here, the fused f32 plan
+//! ([`crate::plan`]), the INT8 engine and its calibration
+//! ([`crate::quant`]), and the analytic descriptors.
 
 use crate::bundle::BundleSpec;
 use crate::desc::{LayerDesc, NetDesc};
@@ -37,6 +42,104 @@ impl std::fmt::Display for Variant {
             Variant::B => write!(f, "B"),
             Variant::C => write!(f, "C"),
         }
+    }
+}
+
+/// One node of the SkyNet topology, at bundle granularity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Node {
+    /// A DW3→BN→Act→PW→BN→Act Bundle (0-based; 5 is Bundle 6).
+    Bundle(usize),
+    /// The max-pool after Bundle `i + 1` (`i` in 0–2).
+    Pool(usize),
+    /// Reorg (space-to-depth) the current map and stash it as the
+    /// bypass operand of [`Node::Concat`].
+    ReorgFork,
+    /// Concatenate the stashed bypass onto the current map.
+    Concat,
+    /// The 1×1 detection head.
+    Head,
+}
+
+/// Window (and stride) of every [`Node::Pool`].
+pub const POOL_WINDOW: usize = 2;
+
+/// Block of the [`Node::ReorgFork`] space-to-depth: the bypass carries
+/// `REORG_BLOCK²` times the channels of Bundle 3's output.
+pub const REORG_BLOCK: usize = 2;
+
+/// The node order of variants B/C: the fork sits after Bundle 3's body,
+/// before pool 3, and the join right before Bundle 6. Variant A runs the
+/// same order without the bypass nodes (fork, join and Bundle 6).
+const TOPOLOGY: [Node; 12] = [
+    Node::Bundle(0),
+    Node::Pool(0),
+    Node::Bundle(1),
+    Node::Pool(1),
+    Node::Bundle(2),
+    Node::ReorgFork,
+    Node::Pool(2),
+    Node::Bundle(3),
+    Node::Bundle(4),
+    Node::Concat,
+    Node::Bundle(5),
+    Node::Head,
+];
+
+/// The nodes of a variant in execution order (reverse it for backward).
+pub fn topology(variant: Variant) -> impl DoubleEndedIterator<Item = Node> {
+    let bypass = variant != Variant::A;
+    TOPOLOGY
+        .into_iter()
+        .filter(move |n| bypass || !matches!(n, Node::ReorgFork | Node::Concat | Node::Bundle(5)))
+}
+
+/// The feature-extractor prefix: Bundles 1–5 and the three pools, the
+/// backbone the paper drops into SiamRPN++/SiamMask in §7.
+fn backbone() -> impl Iterator<Item = Node> {
+    topology(Variant::A).take_while(|&n| n != Node::Head)
+}
+
+/// Which walk over the topology a span belongs to (column of
+/// [`Node::span`]'s table).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Walk {
+    /// The layer-by-layer forward.
+    Forward,
+    /// The fused f32 plan.
+    Fused,
+    /// The layer-by-layer backward.
+    Backward,
+}
+
+impl Node {
+    /// The telemetry span of this node under a walk: the one table of
+    /// SkyNet's per-node span names. A fused bundle runs under
+    /// `fused.bundleN`, which **replaces** `skynet.bundleN`, so per-op
+    /// aggregation never sees the same work under two names.
+    pub(crate) fn span(self, walk: Walk) -> &'static str {
+        const SPANS: [[&str; 3]; 12] = [
+            ["skynet.bundle1", "fused.bundle1", "skynet.bundle1.bwd"],
+            ["skynet.bundle2", "fused.bundle2", "skynet.bundle2.bwd"],
+            ["skynet.bundle3", "fused.bundle3", "skynet.bundle3.bwd"],
+            ["skynet.bundle4", "fused.bundle4", "skynet.bundle4.bwd"],
+            ["skynet.bundle5", "fused.bundle5", "skynet.bundle5.bwd"],
+            ["skynet.bundle6", "fused.bundle6", "skynet.bundle6.bwd"],
+            ["skynet.pool1", "skynet.pool1", "skynet.pool1.bwd"],
+            ["skynet.pool2", "skynet.pool2", "skynet.pool2.bwd"],
+            ["skynet.pool3", "skynet.pool3", "skynet.pool3.bwd"],
+            ["skynet.reorg", "skynet.reorg", "skynet.reorg.bwd"],
+            ["skynet.concat", "skynet.concat", "skynet.split.bwd"],
+            ["skynet.head", "skynet.head", "skynet.head.bwd"],
+        ];
+        let row = match self {
+            Node::Bundle(b) => b,
+            Node::Pool(i) => 6 + i,
+            Node::ReorgFork => 9,
+            Node::Concat => 10,
+            Node::Head => 11,
+        };
+        SPANS[row][walk as usize]
     }
 }
 
@@ -87,78 +190,65 @@ impl SkyNetConfig {
         self
     }
 
-    /// Channel count arriving at Bundle 6 via the bypass: Bundle 3's
-    /// output reordered ×2 (quadrupling channels).
-    pub fn bypass_channels(&self) -> usize {
-        self.widths[2] * 4
+    /// Pairs each of `nodes` with the channel counts entering and
+    /// leaving it on the main path, from a 3-channel input. A fork leaves
+    /// the main path as it is; a join adds the stashed bypass.
+    fn channel_flow(&self, nodes: impl Iterator<Item = Node>) -> Vec<(Node, usize, usize)> {
+        let (mut cur, mut bypass) = (3, 0);
+        nodes
+            .map(|node| {
+                let c_in = cur;
+                cur = match node {
+                    Node::Bundle(b) => self.widths.get(b).copied().unwrap_or(self.bundle6_width),
+                    Node::Pool(_) => cur,
+                    Node::ReorgFork => {
+                        bypass = cur * REORG_BLOCK * REORG_BLOCK;
+                        cur
+                    }
+                    Node::Concat => cur + bypass,
+                    Node::Head => HEAD_CHANNELS,
+                };
+                (node, c_in, cur)
+            })
+            .collect()
+    }
+
+    /// Abstract layer list of `nodes`; each Bundle expands through
+    /// [`BundleSpec::describe_layers`].
+    fn describe(&self, nodes: impl Iterator<Item = Node>) -> Vec<LayerDesc> {
+        let spec = BundleSpec::skynet(self.act);
+        let mut layers = Vec::new();
+        for (node, c_in, c_out) in self.channel_flow(nodes) {
+            match node {
+                Node::Bundle(_) => layers.extend(spec.describe_layers(c_in, c_out)),
+                Node::Pool(_) => layers.push(LayerDesc::Pool {
+                    c: c_in,
+                    k: POOL_WINDOW,
+                }),
+                Node::ReorgFork => layers.push(LayerDesc::Reorg {
+                    c: c_in,
+                    s: REORG_BLOCK,
+                }),
+                Node::Concat => layers.push(LayerDesc::Concat {
+                    c_main: c_in,
+                    c_bypass: c_out - c_in,
+                }),
+                Node::Head => layers.push(LayerDesc::Conv {
+                    in_c: c_in,
+                    out_c: c_out,
+                    k: 1,
+                    s: 1,
+                    p: 0,
+                }),
+            }
+        }
+        layers
     }
 
     /// Abstract descriptor of this configuration for an `in_h×in_w` RGB
     /// input (hardware models, parameter counting).
     pub fn descriptor(&self, in_h: usize, in_w: usize) -> NetDesc {
-        let spec = BundleSpec::skynet(self.act);
-        let w = self.widths;
-        let mut layers = Vec::new();
-        let mut cur = 3usize;
-        for (i, &width) in w.iter().enumerate() {
-            layers.extend(spec.describe_layers(cur, width));
-            cur = width;
-            if i == 2 && self.variant != Variant::A {
-                // Bypass forks here: reorg of Bundle 3's output.
-                layers.push(LayerDesc::Reorg { c: cur, s: 2 });
-            }
-            if i < 3 {
-                layers.push(LayerDesc::Pool { c: cur, k: 2 });
-            }
-        }
-        match self.variant {
-            Variant::A => {
-                layers.push(LayerDesc::Conv {
-                    in_c: cur,
-                    out_c: HEAD_CHANNELS,
-                    k: 1,
-                    s: 1,
-                    p: 0,
-                });
-            }
-            Variant::B | Variant::C => {
-                let bypass = self.bypass_channels();
-                layers.push(LayerDesc::Concat {
-                    c_main: cur,
-                    c_bypass: bypass,
-                });
-                let cat = cur + bypass;
-                layers.push(LayerDesc::DwConv {
-                    c: cat,
-                    k: 3,
-                    s: 1,
-                    p: 1,
-                });
-                layers.push(LayerDesc::Bn { c: cat });
-                layers.push(LayerDesc::Act { c: cat });
-                layers.push(LayerDesc::Conv {
-                    in_c: cat,
-                    out_c: self.bundle6_width,
-                    k: 1,
-                    s: 1,
-                    p: 0,
-                });
-                layers.push(LayerDesc::Bn {
-                    c: self.bundle6_width,
-                });
-                layers.push(LayerDesc::Act {
-                    c: self.bundle6_width,
-                });
-                layers.push(LayerDesc::Conv {
-                    in_c: self.bundle6_width,
-                    out_c: HEAD_CHANNELS,
-                    k: 1,
-                    s: 1,
-                    p: 0,
-                });
-            }
-        }
-        NetDesc::new(3, in_h, in_w, layers)
+        NetDesc::new(3, in_h, in_w, self.describe(topology(self.variant)))
     }
 }
 
@@ -168,10 +258,11 @@ impl SkyNetConfig {
 /// map; decode it with [`crate::head::decode_best`].
 pub struct SkyNet {
     pub(crate) cfg: SkyNetConfig,
-    pub(crate) bundles: Vec<Sequential>, // Bundles 1–5
-    pub(crate) pools: Vec<MaxPool2d>,    // after Bundles 1–3
+    /// One layer chain per [`Node::Bundle`]: Bundles 1–5, plus Bundle 6
+    /// for B/C.
+    pub(crate) bundles: Vec<Sequential>,
+    pub(crate) pools: Vec<MaxPool2d>,
     pub(crate) reorg: Reorg,
-    pub(crate) bundle6: Option<Sequential>, // DW+BN+act, PW+BN+act (B/C only)
     pub(crate) head: Conv2d,
     // Backward routing state.
     split_at: Option<usize>,
@@ -181,39 +272,32 @@ pub struct SkyNet {
 }
 
 impl SkyNet {
-    /// Builds a SkyNet with freshly initialized weights.
+    /// Builds a SkyNet with freshly initialized weights, drawing them in
+    /// topology order (Bundles 1–5, Bundle 6, head).
     pub fn new(cfg: SkyNetConfig, rng: &mut SkyRng) -> Self {
         let spec = BundleSpec::skynet(cfg.act);
-        let mut bundles = Vec::with_capacity(5);
-        let mut cur = 3usize;
-        for &w in &cfg.widths {
-            bundles.push(spec.build(cur, w, rng));
-            cur = w;
-        }
-        let pools = vec![MaxPool2d::new(2), MaxPool2d::new(2), MaxPool2d::new(2)];
-        let (bundle6, head_in) = match cfg.variant {
-            Variant::A => (None, cur),
-            Variant::B | Variant::C => {
-                let cat = cur + cfg.bypass_channels();
-                // DW half over the concatenated map, then PW to the
-                // bundle-6 width; BundleSpec gives exactly that split.
-                let seq = spec.build(cat, cfg.bundle6_width, rng);
-                (Some(seq), cfg.bundle6_width)
+        let (mut bundles, mut pools, mut head) = (Vec::new(), Vec::new(), None);
+        for (node, c_in, c_out) in cfg.channel_flow(topology(cfg.variant)) {
+            match node {
+                Node::Bundle(_) => bundles.push(spec.build(c_in, c_out, rng)),
+                Node::Pool(_) => pools.push(MaxPool2d::new(POOL_WINDOW)),
+                Node::Head => {
+                    head = Some(Conv2d::new(
+                        c_in,
+                        c_out,
+                        skynet_tensor::conv::ConvGeometry::pointwise(),
+                        rng,
+                    ))
+                }
+                Node::ReorgFork | Node::Concat => {}
             }
-        };
-        let head = Conv2d::new(
-            head_in,
-            HEAD_CHANNELS,
-            skynet_tensor::conv::ConvGeometry::pointwise(),
-            rng,
-        );
+        }
         SkyNet {
             cfg,
             bundles,
             pools,
-            reorg: Reorg::new(2),
-            bundle6,
-            head,
+            reorg: Reorg::new(REORG_BLOCK),
+            head: head.expect("every topology ends with the head"),
             split_at: None,
             plan: None,
         }
@@ -267,51 +351,23 @@ impl SkyNet {
 pub fn features(cfg: &SkyNetConfig, rng: &mut SkyRng) -> (Sequential, usize) {
     let spec = BundleSpec::skynet(cfg.act);
     let mut seq = Sequential::empty();
-    let mut cur = 3usize;
-    for (i, &w) in cfg.widths.iter().enumerate() {
-        seq.push(Box::new(spec.build(cur, w, rng)));
-        if i < 3 {
-            seq.push(Box::new(MaxPool2d::new(2)));
+    let mut out_c = 3;
+    for (node, c_in, c_out) in cfg.channel_flow(backbone()) {
+        if let Node::Bundle(_) = node {
+            seq.push(Box::new(spec.build(c_in, c_out, rng)));
+        } else {
+            seq.push(Box::new(MaxPool2d::new(POOL_WINDOW)));
         }
-        cur = w;
+        out_c = c_out;
     }
-    (seq, cur)
+    (seq, out_c)
 }
 
 /// Abstract descriptor of the feature extractor at paper scale (for the
 /// §7 parameter-size comparison against ResNet-50).
 pub fn features_descriptor(cfg: &SkyNetConfig, in_h: usize, in_w: usize) -> NetDesc {
-    let spec = BundleSpec::skynet(cfg.act);
-    let mut layers = Vec::new();
-    let mut cur = 3usize;
-    for (i, &w) in cfg.widths.iter().enumerate() {
-        layers.extend(spec.describe_layers(cur, w));
-        cur = w;
-        if i < 3 {
-            layers.push(LayerDesc::Pool { c: cur, k: 2 });
-        }
-    }
-    NetDesc::new(3, in_h, in_w, layers)
+    NetDesc::new(3, in_h, in_w, cfg.describe(backbone()))
 }
-
-/// Per-layer span names, indexable by bundle/pool position so the guard
-/// gets a `&'static str` without allocating.
-const BUNDLE_SPANS: [&str; 5] = [
-    "skynet.bundle1",
-    "skynet.bundle2",
-    "skynet.bundle3",
-    "skynet.bundle4",
-    "skynet.bundle5",
-];
-const POOL_SPANS: [&str; 3] = ["skynet.pool1", "skynet.pool2", "skynet.pool3"];
-const BUNDLE_BWD_SPANS: [&str; 5] = [
-    "skynet.bundle1.bwd",
-    "skynet.bundle2.bwd",
-    "skynet.bundle3.bwd",
-    "skynet.bundle4.bwd",
-    "skynet.bundle5.bwd",
-];
-const POOL_BWD_SPANS: [&str; 3] = ["skynet.pool1.bwd", "skynet.pool2.bwd", "skynet.pool3.bwd"];
 
 impl Layer for SkyNet {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Result<Tensor> {
@@ -332,84 +388,55 @@ impl Layer for SkyNet {
             }
             Mode::QuantEval { .. } => {}
         }
-        // Bundles 1–3 with pooling after each.
         let mut cur = x.clone();
         let mut bypass = None;
-        for i in 0..3 {
-            {
-                let _s = telemetry::span(BUNDLE_SPANS[i]);
-                cur = self.bundles[i].forward(&cur, mode)?;
-            }
-            if i == 2 && self.cfg.variant != Variant::A {
-                let _s = telemetry::span("skynet.reorg");
-                bypass = Some(self.reorg.forward(&cur, mode)?);
-            }
-            let _s = telemetry::span(POOL_SPANS[i]);
-            cur = self.pools[i].forward(&cur, mode)?;
-        }
-        // Bundles 4–5.
-        {
-            let _s = telemetry::span(BUNDLE_SPANS[3]);
-            cur = self.bundles[3].forward(&cur, mode)?;
-        }
-        {
-            let _s = telemetry::span(BUNDLE_SPANS[4]);
-            cur = self.bundles[4].forward(&cur, mode)?;
-        }
-        // Optional bypass merge + Bundle 6.
-        if let Some(b6) = &mut self.bundle6 {
-            let by = bypass.expect("bypass exists for variants B/C");
-            self.split_at = Some(cur.shape().c);
-            let cat = {
-                let _s = telemetry::span("skynet.concat");
-                concat_channels(&cur, &by)?
+        for node in topology(self.cfg.variant) {
+            let _s = telemetry::span(node.span(Walk::Forward));
+            cur = match node {
+                Node::Bundle(b) => self.bundles[b].forward(&cur, mode)?,
+                Node::Pool(i) => self.pools[i].forward(&cur, mode)?,
+                Node::ReorgFork => {
+                    bypass = Some(self.reorg.forward(&cur, mode)?);
+                    cur
+                }
+                Node::Concat => {
+                    self.split_at = Some(cur.shape().c);
+                    let by = bypass.take().expect("ReorgFork precedes Concat");
+                    concat_channels(&cur, &by)?
+                }
+                Node::Head => self.head.forward(&cur, mode)?,
             };
-            let _s = telemetry::span("skynet.bundle6");
-            cur = b6.forward(&cat, mode)?;
         }
-        let _s = telemetry::span("skynet.head");
-        self.head.forward(&cur, mode)
+        Ok(cur)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
         let _whole = telemetry::span("skynet.backward");
-        let mut g = {
-            let _s = telemetry::span("skynet.head.bwd");
-            self.head.backward(grad_out)?
-        };
+        let mut g = grad_out.clone();
         let mut g_bypass = None;
-        if let Some(b6) = &mut self.bundle6 {
-            let g_cat = {
-                let _s = telemetry::span("skynet.bundle6.bwd");
-                b6.backward(&g)?
-            };
-            let split = self
-                .split_at
-                .take()
-                .expect("forward must run before backward");
-            let _s = telemetry::span("skynet.split.bwd");
-            let (g_main, g_by) = split_channels(&g_cat, split)?;
-            g = g_main;
-            g_bypass = Some(g_by);
-        }
-        for i in [4, 3] {
-            let _s = telemetry::span(BUNDLE_BWD_SPANS[i]);
-            g = self.bundles[i].backward(&g)?;
-        }
-        for i in (0..3).rev() {
-            {
-                let _s = telemetry::span(POOL_BWD_SPANS[i]);
-                g = self.pools[i].backward(&g)?;
-            }
-            if i == 2 {
-                if let Some(g_by) = g_bypass.take() {
-                    let _s = telemetry::span("skynet.reorg.bwd");
-                    let g_reorg = self.reorg.backward(&g_by)?;
-                    g = g.add(&g_reorg)?;
+        for node in topology(self.cfg.variant).rev() {
+            let _s = telemetry::span(node.span(Walk::Backward));
+            g = match node {
+                Node::Head => self.head.backward(&g)?,
+                Node::Bundle(b) => self.bundles[b].backward(&g)?,
+                Node::Pool(i) => self.pools[i].backward(&g)?,
+                Node::Concat => {
+                    let split = self
+                        .split_at
+                        .take()
+                        .expect("forward must run before backward");
+                    let (g_main, g_by) = split_channels(&g, split)?;
+                    g_bypass = Some(g_by);
+                    g_main
                 }
-            }
-            let _s = telemetry::span(BUNDLE_BWD_SPANS[i]);
-            g = self.bundles[i].backward(&g)?;
+                // The bypass gradient joins the main path after pool 3's
+                // backward, before Bundle 3's.
+                Node::ReorgFork => {
+                    let g_by = g_bypass.take().expect("Concat precedes the fork backward");
+                    let g_reorg = self.reorg.backward(&g_by)?;
+                    g.add(&g_reorg)?
+                }
+            };
         }
         Ok(g)
     }
@@ -420,9 +447,6 @@ impl Layer for SkyNet {
         self.invalidate_plan();
         for b in &mut self.bundles {
             b.visit_params(f);
-        }
-        if let Some(b6) = &mut self.bundle6 {
-            b6.visit_params(f);
         }
         self.head.visit_params(f);
     }
@@ -494,14 +518,41 @@ mod tests {
 
     #[test]
     fn descriptor_params_match_built_model() {
-        let mut rng = SkyRng::new(2);
-        let cfg = SkyNetConfig::new(Variant::C, Act::Relu6).with_width_divisor(8);
-        let mut net = SkyNet::new(cfg.clone(), &mut rng);
-        // Built model has the head bias (+HEAD_CHANNELS) that the
-        // descriptor's conv layers don't count.
+        for variant in [Variant::A, Variant::B, Variant::C] {
+            let mut rng = SkyRng::new(2);
+            let cfg = SkyNetConfig::new(variant, Act::Relu6).with_width_divisor(8);
+            let mut net = SkyNet::new(cfg.clone(), &mut rng);
+            // Built model has the head bias (+HEAD_CHANNELS) that the
+            // descriptor's conv layers don't count.
+            assert_eq!(
+                net.param_count(),
+                cfg.descriptor(24, 48).total_params() + HEAD_CHANNELS,
+                "{variant}"
+            );
+        }
+    }
+
+    #[test]
+    fn paper_scale_descriptors_are_pinned() {
+        // Golden totals at 160×320: any change to the layer order or
+        // channel flow of the descriptors moves at least one of them.
+        for (variant, params, macs) in [
+            (Variant::A, 309_057, 376_934_400),
+            (Variant::B, 380_033, 435_353_600),
+            (Variant::C, 442_049, 484_966_400),
+        ] {
+            let desc = SkyNetConfig::new(variant, Act::Relu6).descriptor(160, 320);
+            assert_eq!(
+                (desc.total_params(), desc.total_macs()),
+                (params, macs),
+                "{variant}"
+            );
+        }
+        let cfg = SkyNetConfig::new(Variant::C, Act::Relu6);
+        let feat = features_descriptor(&cfg, 160, 320);
         assert_eq!(
-            net.param_count(),
-            cfg.descriptor(24, 48).total_params() + HEAD_CHANNELS
+            (feat.total_params(), feat.total_macs()),
+            (303_937, 372_838_400)
         );
     }
 
@@ -524,7 +575,29 @@ mod tests {
         let mut rng = SkyRng::new(4);
         let cfg = SkyNetConfig::new(Variant::A, Act::Relu).with_width_divisor(16);
         let net = SkyNet::new(cfg, &mut rng);
-        assert!(net.bundle6.is_none());
+        assert_eq!(net.bundles.len(), 5);
+        assert!(topology(Variant::A).all(|n| !matches!(n, Node::ReorgFork | Node::Concat)));
+    }
+
+    #[test]
+    fn topology_places_the_bypass_around_pool3_and_bundle6() {
+        let c: Vec<Node> = topology(Variant::C).collect();
+        assert_eq!(c.len(), 12);
+        assert_eq!(c[0], Node::Bundle(0));
+        assert_eq!(*c.last().unwrap(), Node::Head);
+        // The fork reorgs Bundle 3's output before pool 3 sees it.
+        let fork = c.iter().position(|&n| n == Node::ReorgFork).unwrap();
+        assert_eq!((c[fork - 1], c[fork + 1]), (Node::Bundle(2), Node::Pool(2)));
+        let join = c.iter().position(|&n| n == Node::Concat).unwrap();
+        assert_eq!(
+            (c[join - 1], c[join + 1]),
+            (Node::Bundle(4), Node::Bundle(5))
+        );
+        // A drops exactly the fork, the join and Bundle 6.
+        assert_eq!(topology(Variant::A).count(), 9);
+        assert!(topology(Variant::A).all(|n| n != Node::Bundle(5)));
+        // The tracker backbone is A's prefix up to the head.
+        assert_eq!(backbone().count(), 8);
     }
 
     #[test]

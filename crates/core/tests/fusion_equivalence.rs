@@ -70,8 +70,8 @@ fn crc(t: &Tensor) -> u32 {
 }
 
 /// Fused vs unfused eval forward, bitwise, for one net and input, on
-/// every available backend, pooled and serial.
-fn assert_fused_matches_unfused(variant: Variant, seed: u64, n: usize) {
+/// every available backend, pooled and serial. Returns the common CRC.
+fn assert_fused_matches_unfused(variant: Variant, seed: u64, n: usize) -> u32 {
     let x = random_input(seed ^ 0x5eed, n);
     let unfused = with_fusion(false, || {
         net(variant, seed).forward(&x, Mode::Eval).unwrap()
@@ -104,13 +104,22 @@ fn assert_fused_matches_unfused(variant: Variant, seed: u64, n: usize) {
             "{variant:?}/{label}: fused (serial)"
         );
     }
+    anchor
 }
 
 #[test]
 fn fused_forward_matches_unfused_all_variants() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for variant in [Variant::A, Variant::B, Variant::C] {
-        assert_fused_matches_unfused(variant, 11, 1);
+    // Golden output CRCs: fused and unfused agreeing with each other is
+    // not enough — a node reorder applied to both paths would still
+    // agree, but not with these.
+    for (variant, golden) in [
+        (Variant::A, 0x976f_9c9d_u32),
+        (Variant::B, 0x2bf2_7833),
+        (Variant::C, 0x59b8_2ca3),
+    ] {
+        let got = assert_fused_matches_unfused(variant, 11, 1);
+        assert_eq!(got, golden, "{variant:?}: eval output CRC {got:#010x}");
     }
     // Batched input exercises the (item × band) task decomposition.
     assert_fused_matches_unfused(Variant::C, 12, 3);
@@ -237,10 +246,10 @@ fn toy_samples(n: usize, seed: u64) -> Vec<Sample> {
         .collect()
 }
 
-fn train_hash(fuse: bool) -> u64 {
+fn train_hash(variant: Variant, fuse: bool) -> u64 {
     with_fusion(fuse, || {
         let mut rng = SkyRng::new(77);
-        let cfg = SkyNetConfig::new(Variant::C, Act::Relu6).with_width_divisor(16);
+        let cfg = SkyNetConfig::new(variant, Act::Relu6).with_width_divisor(16);
         let mut det = Detector::new(Box::new(SkyNet::new(cfg, &mut rng)), Anchors::dac_sdc());
         let mut opt = Sgd::new(LrSchedule::Constant(2e-3), 0.9, 1e-4);
         let samples = toy_samples(8, 3);
@@ -261,9 +270,19 @@ fn train_hash(fuse: bool) -> u64 {
 }
 
 /// Training never executes fused (plans are Eval-only), so the trained
-/// weights are bit-identical whichever way the toggle points.
+/// weights are bit-identical whichever way the toggle points. The golden
+/// hashes pin the Train forward and the backward (through the bypass
+/// for B/C) of every variant.
 #[test]
 fn trained_weight_hash_identical_fusion_on_off() {
     let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    assert_eq!(train_hash(false), train_hash(true));
+    for (variant, golden) in [
+        (Variant::A, 0xa4c4_2cd8_ecbc_e576_u64),
+        (Variant::B, 0x85d7_6b43_1867_c69c),
+        (Variant::C, 0x2875_103b_2cfd_a9b3),
+    ] {
+        let off = train_hash(variant, false);
+        assert_eq!(off, train_hash(variant, true), "{variant:?}");
+        assert_eq!(off, golden, "{variant:?}: trained weight hash {off:#018x}");
+    }
 }

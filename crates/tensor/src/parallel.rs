@@ -74,19 +74,31 @@ thread_local! {
     static IN_TASK: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Number of threads the engine uses: `SKYNET_THREADS` when set and
-/// positive, otherwise [`std::thread::available_parallelism`].
+/// Number of threads the engine uses: `SKYNET_THREADS` when set,
+/// otherwise [`std::thread::available_parallelism`].
 pub fn num_threads() -> usize {
     pool().threads
 }
 
+/// Resolves `SKYNET_THREADS` (unset or empty means the machine's
+/// parallelism). Panics (hard error, by design) on any other value that
+/// [`parse_threads`] rejects: like `SKYNET_SIMD` and `SKYNET_FUSION`, a
+/// typo must never silently change how the code runs.
 fn configured_threads() -> usize {
     match std::env::var("SKYNET_THREADS") {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => 1,
-        },
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Ok(v) if !v.trim().is_empty() => parse_threads(&v).unwrap_or_else(|e| panic!("{e}")),
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
+}
+
+/// Parses a `SKYNET_THREADS` value: a positive integer, surrounding
+/// whitespace allowed. The error names the accepted form.
+fn parse_threads(v: &str) -> Result<usize, String> {
+    match v.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(format!(
+            "SKYNET_THREADS={v:?} is not a thread count (expected a positive integer, e.g. 1 or 4)"
+        )),
     }
 }
 
@@ -354,6 +366,17 @@ unsafe impl<T: Send> Sync for SendPtr<T> {}
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_count_parse_accepts_only_positive_integers() {
+        assert_eq!(parse_threads("4"), Ok(4));
+        assert_eq!(parse_threads(" 2\n"), Ok(2));
+        for bad in ["abc", "0", "-2", "1.5", "4 threads"] {
+            let err = parse_threads(bad).unwrap_err();
+            assert!(err.contains("expected a positive integer"), "{bad}: {err}");
+            assert!(err.contains(&format!("{bad:?}")), "{bad}: {err}");
+        }
+    }
 
     #[test]
     fn run_indexed_covers_every_index_once() {
