@@ -24,8 +24,8 @@
 //! Two further lanes ride along: the **INT8 lane** times the
 //! executable-INT8 kernels (`qint::dwconv3_i8`, `qint::matmul_i8`)
 //! against their f32 counterparts on the same shapes — with every
-//! backend's raw i32 accumulators asserted **CRC-identical** (the
-//! pairwise-`madd` tier vs the scalar oracle, bitwise) — and the
+//! backend's raw i32 accumulators asserted **CRC-identical** (each
+//! backend's pair-`madd` body vs the scalar oracle, bitwise) — and the
 //! **fused lane** times `fused::fused_bundle_forward` against the
 //! unfused DW→BN→Act→PW→BN→Act layer sequence with the two paths
 //! asserted bit-identical per backend. The **epilogue lane** times the
@@ -182,7 +182,7 @@ fn hash_f32(slices: &[&[f32]]) -> u32 {
 }
 
 /// CRC-32 over raw i32 accumulators — the integer lane's bitwise
-/// cross-backend witness (pairing tier vs scalar oracle included).
+/// cross-backend witness (every pair-`madd` body vs the scalar oracle).
 fn hash_i32(s: &[i32]) -> u32 {
     let mut h = Crc32::new();
     for v in s {
@@ -540,7 +540,7 @@ fn main() {
          the quantize/requantize epilogues have their own lane below, \
          so these ratios isolate the compute-kernel win. \
          The crc column hashes the i32 accumulators and is asserted equal \
-         on every backend — the pairwise-`madd` tier (`avx2pair`) must be \
+         on every backend — each backend's pair-`madd` body must be \
          **bitwise** identical to the scalar oracle, not merely close.\n"
     );
     let _ = writeln!(

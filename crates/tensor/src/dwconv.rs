@@ -368,9 +368,9 @@ fn dw3_fwd_interior_dispatch<const S: usize>(
             dw3_fwd_interior_v::<Sse2V, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
         }
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe {
+        Backend::Avx2 => unsafe {
             dw3_fwd_interior_avx2::<S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
         },
         #[cfg(not(target_arch = "x86_64"))]
@@ -637,9 +637,9 @@ pub(crate) fn dw3_bnact_band(
                     dw3_bnact_band_v::<Sse2V, $S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
                 }
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the Avx2 backends are only ever active after
+                // SAFETY: the Avx2 backend is only ever active after
                 // runtime detection succeeded.
-                Backend::Avx2 | Backend::Avx2Pair => unsafe {
+                Backend::Avx2 => unsafe {
                     dw3_bnact_band_avx2::<$S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
                 },
                 #[cfg(not(target_arch = "x86_64"))]
@@ -1360,9 +1360,9 @@ fn dw3_bwd_dispatch<const S: usize>(
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => dw3_plane_bwd_v::<Sse2V, S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe {
+        Backend::Avx2 => unsafe {
             dw3_plane_bwd_avx2::<S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
         },
         #[cfg(not(target_arch = "x86_64"))]

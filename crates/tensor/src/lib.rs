@@ -28,10 +28,10 @@
 //!
 //! The [`qint`] module adds the executable INT8 twin of the hot
 //! kernels: `i8`×`i8`→`i32` matmul / point-wise / 3×3 depth-wise
-//! convolutions on 32-lane integer SIMD (same `SKYNET_SIMD` dispatch,
-//! structurally bit-identical across backends), plus the scalar
-//! quantize/requantize epilogues (see `QUANTIZATION.md` at the repo
-//! root).
+//! convolutions on one pair-`madd` integer datapath (same
+//! `SKYNET_SIMD` dispatch, structurally bit-identical across backends),
+//! plus the 8-lane quantize/requantize epilogues (see `QUANTIZATION.md`
+//! at the repo root).
 //!
 //! Five infrastructure modules back the kernels: [`parallel`], the
 //! deterministic batch-parallel execution engine (bit-identical results

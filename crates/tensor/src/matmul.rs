@@ -149,9 +149,9 @@ fn matmul_acc_rows(be: Backend, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => matmul_acc_rows_g::<Sse2V>(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe { matmul_acc_rows_avx2(a, b, c, m, k, n) },
+        Backend::Avx2 => unsafe { matmul_acc_rows_avx2(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }
@@ -212,9 +212,9 @@ pub fn matmul_at_b_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => at_b_g::<Sse2V>(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe { at_b_avx2(a, b, c, m, k, n) },
+        Backend::Avx2 => unsafe { at_b_avx2(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }

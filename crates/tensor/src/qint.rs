@@ -1,56 +1,61 @@
-//! Quantized integer kernels: `i8`×`i8`→`i32` with a **32-lane
+//! Quantized integer kernels: `i8`×`i8`→`i32` with a **structural
 //! integer determinism contract**.
 //!
 //! This is the executable INT8 counterpart of the f32 kernel family
-//! ([`dwconv`](crate::dwconv), [`matmul`](crate::matmul)). The hot
-//! kernels are written once as generic functions over the [`QI8x32`]
-//! trait — the integer sibling of [`F32x8`] — and
-//! instantiated for the same three backends under the same
-//! `SKYNET_SIMD` runtime dispatch ([`simd::active`]):
+//! ([`dwconv`](crate::dwconv), [`matmul`](crate::matmul)). The two hot
+//! kernels, the point-wise matmul and the 3×3 DW stencil, are written
+//! once each as generic functions over the [`QPairs`] trait, the
+//! integer sibling of [`F32x8`], and instantiated for the same three
+//! backends under the same `SKYNET_SIMD` runtime dispatch
+//! ([`simd::active`]):
 //!
-//! * [`ScalarQ`] — plain Rust replaying the 32-lane structure;
-//! * [`Sse2Q`] — `__m128i` lanes (sign-extend via unpack, exact
-//!   `mullo_epi16` products, `add_epi32` accumulate);
-//! * [`Avx2Q`] — `__m256i` lanes (`cvtepi8_epi16` / `cvtepi16_epi32`).
+//! * [`ScalarQ`]: plain Rust replaying the pairs, the oracle;
+//! * [`Sse2Q`]: four `__m128i` accumulators over `pmaddwd`
+//!   (`_mm_madd_epi16`);
+//! * [`Avx2Q`]: two `__m256i` accumulators over `vpmaddwd`
+//!   (`_mm256_madd_epi16`).
 //!
-//! A fourth tier, [`Backend::Avx2Pair`], does not go through the
-//! [`QI8x32`] axpy at all: it restructures the reduction so adjacent
-//! `i8×i8` products are summed **in pairs** by `vpmaddwd`
-//! (`_mm256_madd_epi16`) — one instruction per pair instead of the
-//! widen-multiply-widen-add chain — roughly doubling integer multiply
-//! throughput. See *Why pairing keeps bit-identity* below.
+//! ## Pairs on every backend
+//!
+//! A [`QPairs`] value is a block of [`QLANES`] = 16 `i32` column
+//! accumulators held in registers across a whole reduction. Its one
+//! arithmetic primitive, [`QPairs::madd_pair`], adds `w0·x0[j] +
+//! w1·x1[j]` into column `j`: two `i8×i8` products per column per
+//! call, which `madd` forms in one instruction where a widening
+//! multiply needs a widen-multiply-widen-add chain per product. Both
+//! kernels reduce their weights two at a time: a pair whose two weights
+//! are 0 is skipped, and an odd last weight runs as the pair `[w, 0]`.
+//! The matmul keeps each output block in registers across the whole
+//! `k` loop; the DW stencil computes each block from scratch over the
+//! row's list of in-bounds taps and stores it once, so an interior
+//! remainder is one overlapping tail block.
+//!
+//! The block width is the contract's unit, not the register width: SSE2
+//! holds a block as four 4-column registers in natural order, AVX2 as
+//! two 8-column registers in `vpmaddwd`'s interleaved layout (converted
+//! once on [`QPairs::load`] / [`QPairs::store`]), and the scalar
+//! backend as a 16-element array.
 //!
 //! ## Why pairing keeps bit-identity
 //!
-//! `vpmaddwd` multiplies eight pairs of `i16`s and adds each pair into
-//! an `i32`. Our operands are sign-extended `i8`s, so |x| ≤ 128, every
-//! product is ≤ 16384, and a pair sum is ≤ 32768 — produced directly
-//! in `i32`, these sums are **exact** for all `i8` inputs including
-//! `i8::MIN` (the instruction's only saturating case is
-//! `(−32768)² + (−32768)²`, unreachable from 8-bit operands). In the
-//! quantized activation domain the bound is tighter still:
-//! [`quantize_i8`] never emits −128, so products are ≤ 16129 and pair
-//! sums ≤ 32258 — exact even as `i16`s. Either way the pair sums are
-//! exact integers, and two's-complement wrapping `i32` addition is
-//! associative and commutative, so regrouping the same multiset of
-//! products into pairs cannot change a single accumulator bit — the
-//! pairing tier is bit-identical to [`ScalarQ`] by construction, and
-//! the `qint_equivalence` suite (which plants `±127` and `i8::MIN`
-//! extremes) asserts it bitwise.
-//!
-//! ## Why the integer contract is *stronger* than the f32 one
+//! `madd` multiplies pairs of `i16`s and adds each pair into an `i32`.
+//! Our operands are sign-extended `i8`s, so |x| ≤ 128, every product is
+//! ≤ 16384, and a pair sum is ≤ 32768: produced directly in `i32`,
+//! these sums are **exact** for all `i8` inputs including `i8::MIN`
+//! (the instruction's only overflowing case is `(−32768)² + (−32768)²`,
+//! unreachable from 8-bit operands). An `i8`×`i8` product fits `i16`
+//! exactly, and two's-complement wrapping `i32` addition is associative
+//! *and* commutative. So any grouping of the same multiset of products
+//! (pairs, 16-column blocks, scalar tails, different thread splits)
+//! produces the same accumulator bits, wrap-arounds included.
 //!
 //! The f32 kernels are bit-identical across backends because every
-//! backend performs the same IEEE-754 operations in the same order —
-//! a carefully engineered property (no FMA, fixed reduction trees).
-//! The integer kernels get bit-identity **structurally**: an `i8`×`i8`
-//! product always fits exactly in `i16` (|−128·−128| = 16384 < 2¹⁵),
-//! its sign-extension to `i32` is exact, and two's-complement wrapping
-//! `i32` addition is associative *and* commutative. Any grouping of
-//! the same multiset of products — 32-wide blocks, scalar tails,
-//! different thread splits — produces the same accumulator bits. The
-//! `qint_equivalence` proptest suite still asserts it bitwise, wrap
-//! boundaries included.
+//! backend performs the same IEEE-754 operations in the same order, an
+//! engineered property (no FMA, fixed reduction trees). The integer
+//! kernels get bit-identity **structurally**, which is the stronger
+//! contract. The `qint_equivalence` proptest suite still asserts it
+//! bitwise against [`ScalarQ`], with `±127`, `i8::MIN` and wrap
+//! boundaries planted.
 //!
 //! ## The f32 epilogues
 //!
@@ -59,31 +64,23 @@
 //! one multiply, one add, an optional activation clamp, one divide, one
 //! round-half-away-from-zero and one `±127` clamp per element. They are
 //! written once over the 8-lane [`F32x8`] trait and run 8 elements at a
-//! time on every backend (`avx2pair` uses the AVX2 body), with the
-//! remainder through the scalar oracles [`quantize_i8_scalar`] /
-//! [`requant_i8_scalar`]. They stay bit-identical to those oracles
-//! because each lane performs the same IEEE-754 operations: `cvtdq2ps`
-//! rounds to nearest-even like `as f32`; mul, add and divide are
-//! correctly rounded (and never fused); `maxps`/`minps` reproduce the
-//! oracle's `if v > lo` selects; [`F32x8::round`] is an exact emulation
-//! of [`f32::round`]; and the `±127` clamp, the NaN → 0 mapping and the
-//! saturation count all act on the rounded value. The
-//! `qint_equivalence` suite asserts it bitwise on ties, ±0, ±∞, NaN
-//! and the `i32` extremes.
-//!
-//! ## Lane width
-//!
-//! [`QLANES`] is 32: one AVX2 register holds 32 `i8`s, four times the
-//! 8-lane f32 ceiling — the bigger win the ROADMAP's quantization item
-//! promises. SSE2 processes the same 32-element block as two 16-byte
-//! halves and the scalar backend replays it as a 32-iteration loop;
-//! the block structure (not the register width) defines the contract.
+//! time on every backend, with the remainder through the scalar oracles
+//! [`quantize_i8_scalar`] / [`requant_i8_scalar`]. They stay
+//! bit-identical to those oracles because each lane performs the same
+//! IEEE-754 operations: `cvtdq2ps` rounds to nearest-even like `as
+//! f32`; mul, add and divide are correctly rounded (and never fused);
+//! `maxps`/`minps` reproduce the oracle's `if v > lo` selects;
+//! [`F32x8::round`] is an exact emulation of [`f32::round`]; and the
+//! `±127` clamp, the NaN → 0 mapping and the saturation count all act
+//! on the rounded value. The `qint_equivalence` suite asserts it
+//! bitwise on ties, ±0, ±∞, NaN and the `i32` extremes.
 //!
 //! ## Telemetry
 //!
 //! When metrics are on, `quant.<op>.lanes_used` counters tally the
-//! elements processed through full 32-lane blocks, and the saturation
-//! helpers return clamp counts their callers publish as
+//! elements the 16-column blocks cover, each counted once (for the DW
+//! stencil, every interior column once a plane has 16 of them), and
+//! the saturation helpers return clamp counts their callers publish as
 //! `quant.<op>.saturated` (see OBSERVABILITY.md). Spans:
 //! `tensor.qmatmul`, `tensor.qdwconv3`, `tensor.qquantize`,
 //! `tensor.qpool_fwd` and `tensor.qreorg`.
@@ -95,10 +92,10 @@ use crate::simd::{Avx2V, Sse2V};
 use crate::{scratch, telemetry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lane count of the integer kernel family: one AVX2 register of
-/// `i8`s. Fixed on every backend so the block structure — and the
-/// vector-vs-tail split — never depends on the ISA.
-pub const QLANES: usize = 32;
+/// Columns per integer accumulator block ([`QPairs`]). Fixed on every
+/// backend so the block structure (and the vector-vs-tail split)
+/// never depends on the ISA.
+pub const QLANES: usize = 16;
 
 /// Quantized activations saturate to this magnitude: the symmetric
 /// `i8` range `[-127, 127]`. `-128` is excluded so that negation is
@@ -111,11 +108,25 @@ pub const QMAX: i32 = 127;
 /// (which uses 64 f32 rows).
 const QBLOCK: usize = 32;
 
-/// Number of elements of a `len`-element loop that the 32-lane kernels
-/// process as full blocks (the remainder runs scalar).
+/// Columns of an `n`-column matmul row that the 16-column blocks cover;
+/// the `n % 16` tail runs scalar.
 #[inline]
-pub fn qvector_cover(len: usize) -> usize {
-    len / QLANES * QLANES
+pub(crate) fn matmul_qcover(n: usize) -> usize {
+    n / QLANES * QLANES
+}
+
+/// Columns of a `wd`-wide DW output row that the 16-column blocks
+/// cover: every interior column (the overlapping tail block included,
+/// each column counted once) once there are at least 16 of them, else
+/// none. The two border columns always run scalar.
+#[inline]
+pub(crate) fn dw_qcover(wd: usize) -> usize {
+    let wi = wd.saturating_sub(2);
+    if wi >= QLANES {
+        wi
+    } else {
+        0
+    }
 }
 
 /// Tallies `quant.<op>.lanes_used` when metrics are enabled.
@@ -130,154 +141,243 @@ pub fn record_qlanes(op: &'static str, lanes: usize) {
 // The integer lane abstraction
 // ---------------------------------------------------------------------------
 
-/// A broadcast `i8` weight that can axpy one 32-element block:
-/// `acc[j] = acc[j] ⊞ w · x[j]` for `j in 0..32`, where `⊞` is
-/// two's-complement wrapping `i32` addition and `w · x[j]` is the exact
-/// integer product (always representable: |w·x| ≤ 16384).
+/// A block of [`QLANES`] `i32` column accumulators that reduces `i8`
+/// products two at a time. `zero`, `load` and `store` convert between
+/// natural column order and the backend's lane layout; `madd_pair` is
+/// the only arithmetic.
 ///
-/// Implementations must be **exact**: no saturating arithmetic inside
-/// the accumulation (saturation happens only at requantization), so
-/// every backend produces identical accumulator bits by the
+/// Implementations must be **exact**: each pair sum is the exact
+/// integer `w0·x0[j] + w1·x1[j]` (|sum| ≤ 32768) added with
+/// two's-complement wrapping, never saturating (saturation happens only
+/// at requantization), so every backend produces identical bits by the
 /// associativity of wrapping addition.
-pub trait QI8x32: Copy {
-    /// Broadcasts a weight into the backend's lane type.
-    fn splat(w: i8) -> Self;
-    /// `acc[j] = acc[j].wrapping_add(w * x[j])` for `j in 0..QLANES`.
+pub trait QPairs: Copy {
+    /// Every column 0.
+    fn zero() -> Self;
+    /// Loads columns `src[0..16]`.
     ///
     /// # Safety
     ///
-    /// `acc` must be valid for reads and writes of `QLANES` consecutive
-    /// `i32`s and `x` for reads of `QLANES` consecutive `i8`s.
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8);
+    /// `src` must be valid for reads of `QLANES` consecutive `i32`s.
+    unsafe fn load(src: *const i32) -> Self;
+    /// Stores columns to `dst[0..16]`.
+    ///
+    /// # Safety
+    ///
+    /// `dst` must be valid for writes of `QLANES` consecutive `i32`s.
+    unsafe fn store(self, dst: *mut i32);
+    /// Column `j` ⊞= `w0·x0[j] + w1·x1[j]` for `j in 0..QLANES`.
+    ///
+    /// # Safety
+    ///
+    /// `x0` and `x1` must each be valid for reads of `QLANES`
+    /// consecutive `i8`s (they may alias).
+    unsafe fn madd_pair(self, x0: *const i8, x1: *const i8, w0: i8, w1: i8) -> Self;
 }
 
-/// The scalar backend: a 32-iteration loop replaying the lane
-/// structure literally. This is the oracle the `qint_equivalence`
-/// suite compares the ISA backends against (they must agree bitwise —
-/// and do, structurally; see the module docs).
+/// The scalar backend: a 16-element array replaying each pair as one
+/// exact `i32` sum. This is the oracle the `qint_equivalence` suite
+/// compares the ISA backends against (they must agree bitwise, and do
+/// structurally; see the module docs).
 #[derive(Debug, Clone, Copy)]
-pub struct ScalarQ(i32);
+pub struct ScalarQ([i32; QLANES]);
 
-impl QI8x32 for ScalarQ {
+impl QPairs for ScalarQ {
     #[inline(always)]
-    fn splat(w: i8) -> Self {
-        ScalarQ(i32::from(w))
+    fn zero() -> Self {
+        ScalarQ([0; QLANES])
     }
 
     #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        for j in 0..QLANES {
-            // SAFETY: caller guarantees QLANES readable/writable elements.
-            unsafe {
-                let p = acc.add(j);
-                *p = (*p).wrapping_add(self.0 * i32::from(*x.add(j)));
-            }
+    unsafe fn load(src: *const i32) -> Self {
+        // SAFETY: caller guarantees QLANES readable elements.
+        ScalarQ(unsafe { std::ptr::read_unaligned(src as *const [i32; QLANES]) })
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, dst: *mut i32) {
+        // SAFETY: caller guarantees QLANES writable elements.
+        unsafe { std::ptr::write_unaligned(dst as *mut [i32; QLANES], self.0) }
+    }
+
+    #[inline(always)]
+    unsafe fn madd_pair(mut self, x0: *const i8, x1: *const i8, w0: i8, w1: i8) -> Self {
+        let (w0, w1) = (i32::from(w0), i32::from(w1));
+        for (j, acc) in self.0.iter_mut().enumerate() {
+            // SAFETY: caller guarantees QLANES readable bytes at x0, x1.
+            let pair = unsafe { w0 * i32::from(*x0.add(j)) + w1 * i32::from(*x1.add(j)) };
+            *acc = acc.wrapping_add(pair);
         }
+        self
     }
 }
 
-/// SSE2 backend: 16-byte halves, sign-extended to `i16` by interleaving
-/// with a compare-derived sign mask, multiplied exactly with
-/// `mullo_epi16`, widened to `i32` the same way, and accumulated with
-/// `add_epi32` (inherently wrapping). SSE2 is the x86_64 baseline.
+/// Packs two `i8` weights into the `[w0, w1]` `i16` pair `madd` expects
+/// in each 32-bit lane, for a `set1_epi32` broadcast.
 #[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Sse2Q(std::arch::x86_64::__m128i);
-
-#[cfg(target_arch = "x86_64")]
-impl QI8x32 for Sse2Q {
-    #[inline(always)]
-    fn splat(w: i8) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Sse2Q(_mm_set1_epi16(i16::from(w))) }
-    }
-
-    #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees QLANES readable x bytes and QLANES
-        // readable/writable acc elements; all loads/stores unaligned.
-        unsafe {
-            let zero = _mm_setzero_si128();
-            for half in 0..2 {
-                let xb = _mm_loadu_si128(x.add(16 * half) as *const __m128i);
-                // Sign-extend i8 → i16: interleave with the sign mask.
-                let xneg = _mm_cmpgt_epi8(zero, xb);
-                let xlo = _mm_unpacklo_epi8(xb, xneg); // elements 0..8 as i16
-                let xhi = _mm_unpackhi_epi8(xb, xneg); // elements 8..16
-                for (q, prod) in [
-                    (0usize, _mm_mullo_epi16(xlo, self.0)),
-                    (1usize, _mm_mullo_epi16(xhi, self.0)),
-                ] {
-                    // Exact: |i8·i8| ≤ 16384 fits i16, so mullo never
-                    // truncates. Widen to i32 by the same interleave.
-                    let pneg = _mm_cmpgt_epi16(zero, prod);
-                    let p0 = _mm_unpacklo_epi16(prod, pneg); // 4 i32
-                    let p1 = _mm_unpackhi_epi16(prod, pneg); // 4 i32
-                    let base = acc.add(16 * half + 8 * q) as *mut __m128i;
-                    _mm_storeu_si128(base, _mm_add_epi32(_mm_loadu_si128(base), p0));
-                    let base1 = base.add(1);
-                    _mm_storeu_si128(base1, _mm_add_epi32(_mm_loadu_si128(base1), p1));
-                }
-            }
-        }
-    }
-}
-
-/// AVX2 backend: `cvtepi8_epi16` → exact `mullo_epi16` →
-/// `cvtepi16_epi32` → `add_epi32`, 32 elements per call. Only
-/// instantiated behind `#[target_feature(enable = "avx2")]` wrappers
-/// after runtime detection, exactly like
-/// [`Avx2V`].
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug, Clone, Copy)]
-pub struct Avx2Q(std::arch::x86_64::__m256i);
-
-#[cfg(target_arch = "x86_64")]
-impl QI8x32 for Avx2Q {
-    #[inline(always)]
-    fn splat(w: i8) -> Self {
-        use std::arch::x86_64::*;
-        unsafe { Avx2Q(_mm256_set1_epi16(i16::from(w))) }
-    }
-
-    #[inline(always)]
-    unsafe fn axpy(self, acc: *mut i32, x: *const i8) {
-        use std::arch::x86_64::*;
-        // SAFETY: caller guarantees QLANES readable x bytes and QLANES
-        // readable/writable acc elements; all loads/stores unaligned.
-        unsafe {
-            for half in 0..2 {
-                let xb = _mm_loadu_si128(x.add(16 * half) as *const __m128i);
-                let x16 = _mm256_cvtepi8_epi16(xb); // 16 i16, order kept
-                let prod = _mm256_mullo_epi16(x16, self.0); // exact (see Sse2Q)
-                let lo = _mm256_cvtepi16_epi32(_mm256_castsi256_si128(prod));
-                let hi = _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(prod));
-                let base = acc.add(16 * half) as *mut __m256i;
-                _mm256_storeu_si256(base, _mm256_add_epi32(_mm256_loadu_si256(base), lo));
-                let base1 = base.add(1);
-                _mm256_storeu_si256(base1, _mm256_add_epi32(_mm256_loadu_si256(base1), hi));
-            }
-        }
-    }
-}
-
-/// 32-lane axpy over a row: full blocks through the backend, wrapping
-/// scalar tail. Exact on every backend, so the split point never
-/// affects results.
 #[inline(always)]
-fn axpy_row_q<Q: QI8x32>(c: &mut [i32], w: i8, x: &[i8]) {
-    let n = c.len().min(x.len());
-    let nq = qvector_cover(n);
-    let wv = Q::splat(w);
-    for j in (0..nq).step_by(QLANES) {
-        // SAFETY: j + QLANES <= nq <= n bounds both slices.
-        unsafe { wv.axpy(c.as_mut_ptr().add(j), x.as_ptr().add(j)) }
+fn pair_weights(w0: i8, w1: i8) -> i32 {
+    (((w1 as i16 as u16 as u32) << 16) | (w0 as i16 as u16 as u32)) as i32
+}
+
+/// SSE2 backend: four 4-column `__m128i` accumulators in natural
+/// order. `madd_pair` interleaves the two input rows bytewise, widens
+/// each byte to an `i16` in place (self-unpack, then an arithmetic
+/// shift right by 8), so every 32-bit lane holds the `[x0[j], x1[j]]`
+/// pair, and reduces it with `pmaddwd`. SSE2 is the x86_64 baseline.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct Sse2Q([std::arch::x86_64::__m128i; 4]);
+
+#[cfg(target_arch = "x86_64")]
+impl QPairs for Sse2Q {
+    #[inline(always)]
+    fn zero() -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: SSE2 is part of the x86_64 baseline.
+        unsafe { Sse2Q([_mm_setzero_si128(); 4]) }
     }
-    let wi = i32::from(w);
-    for (cv, &xv) in c[nq..n].iter_mut().zip(&x[nq..n]) {
-        *cv = cv.wrapping_add(wi * i32::from(xv));
+
+    #[inline(always)]
+    unsafe fn load(src: *const i32) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees QLANES readable elements.
+        Sse2Q(std::array::from_fn(|q| unsafe {
+            _mm_loadu_si128((src as *const __m128i).add(q))
+        }))
     }
+
+    #[inline(always)]
+    unsafe fn store(self, dst: *mut i32) {
+        use std::arch::x86_64::*;
+        for (q, v) in self.0.into_iter().enumerate() {
+            // SAFETY: caller guarantees QLANES writable elements.
+            unsafe { _mm_storeu_si128((dst as *mut __m128i).add(q), v) };
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn madd_pair(self, x0: *const i8, x1: *const i8, w0: i8, w1: i8) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees QLANES readable bytes at x0 and x1.
+        unsafe {
+            let wp = _mm_set1_epi32(pair_weights(w0, w1));
+            let a = _mm_loadu_si128(x0 as *const __m128i);
+            let b = _mm_loadu_si128(x1 as *const __m128i);
+            // Bytes [x0[j], x1[j]] for columns 0..8 and 8..16.
+            let (lo, hi) = (_mm_unpacklo_epi8(a, b), _mm_unpackhi_epi8(a, b));
+            let pairs = [
+                _mm_unpacklo_epi8(lo, lo), // columns 0..4, each byte doubled
+                _mm_unpackhi_epi8(lo, lo), // columns 4..8
+                _mm_unpacklo_epi8(hi, hi), // columns 8..12
+                _mm_unpackhi_epi8(hi, hi), // columns 12..16
+            ];
+            let mut acc = self.0;
+            for (a, p) in acc.iter_mut().zip(pairs) {
+                // A doubled byte `bb` as i16, shifted right by 8 with
+                // sign, is the byte sign-extended.
+                *a = _mm_add_epi32(*a, _mm_madd_epi16(_mm_srai_epi16::<8>(p), wp));
+            }
+            Sse2Q(acc)
+        }
+    }
+}
+
+/// AVX2 backend: two 8-column `__m256i` accumulators in `vpmaddwd`'s
+/// layout. `_mm256_unpacklo_epi16(x0, x1)` interleaves in-lane, so the
+/// `madd` of the lo/hi unpacks yields columns `[0..4, 8..12]` and
+/// `[4..8, 12..16]`. The same two `_mm256_permute2x128_si256` shuffles
+/// (selectors `0x20`/`0x31`) convert between that layout and the
+/// natural `[0..8]`/`[8..16]` order in both directions, so a block is
+/// permuted in once on `load` and out once on `store`. Only
+/// instantiated behind `#[target_feature(enable = "avx2")]` wrappers
+/// after runtime detection, exactly like [`Avx2V`].
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub struct Avx2Q(std::arch::x86_64::__m256i, std::arch::x86_64::__m256i);
+
+#[cfg(target_arch = "x86_64")]
+impl QPairs for Avx2Q {
+    #[inline(always)]
+    fn zero() -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: only reached from AVX2-enabled wrappers (type docs).
+        unsafe { Avx2Q(_mm256_setzero_si256(), _mm256_setzero_si256()) }
+    }
+
+    #[inline(always)]
+    unsafe fn load(src: *const i32) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees QLANES readable elements.
+        unsafe {
+            let c0 = _mm256_loadu_si256(src as *const __m256i);
+            let c1 = _mm256_loadu_si256((src as *const __m256i).add(1));
+            Avx2Q(
+                _mm256_permute2x128_si256::<0x20>(c0, c1),
+                _mm256_permute2x128_si256::<0x31>(c0, c1),
+            )
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn store(self, dst: *mut i32) {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees QLANES writable elements.
+        unsafe {
+            _mm256_storeu_si256(
+                dst as *mut __m256i,
+                _mm256_permute2x128_si256::<0x20>(self.0, self.1),
+            );
+            _mm256_storeu_si256(
+                (dst as *mut __m256i).add(1),
+                _mm256_permute2x128_si256::<0x31>(self.0, self.1),
+            );
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn madd_pair(self, x0: *const i8, x1: *const i8, w0: i8, w1: i8) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: caller guarantees QLANES readable bytes at x0 and x1.
+        unsafe {
+            let wp = _mm256_set1_epi32(pair_weights(w0, w1));
+            let a = _mm256_cvtepi8_epi16(_mm_loadu_si128(x0 as *const __m128i));
+            let b = _mm256_cvtepi8_epi16(_mm_loadu_si128(x1 as *const __m128i));
+            Avx2Q(
+                _mm256_add_epi32(self.0, _mm256_madd_epi16(_mm256_unpacklo_epi16(a, b), wp)),
+                _mm256_add_epi32(self.1, _mm256_madd_epi16(_mm256_unpackhi_epi16(a, b), wp)),
+            )
+        }
+    }
+}
+
+/// Reduces `nt` taps into `acc` two per [`QPairs::madd_pair`]; tap `t`
+/// is a weight and the 16 input bytes it multiplies. A pair whose two
+/// weights are 0 is skipped (exact: it adds nothing), and an odd last
+/// tap runs as the pair `[w, 0]`.
+///
+/// # Safety
+///
+/// Every pointer `tap` returns must satisfy [`QPairs::madd_pair`].
+#[inline(always)]
+unsafe fn madd_taps<Q: QPairs>(mut acc: Q, nt: usize, tap: impl Fn(usize) -> (i8, *const i8)) -> Q {
+    let mut t = 0;
+    while t + 1 < nt {
+        let ((w0, x0), (w1, x1)) = (tap(t), tap(t + 1));
+        if w0 != 0 || w1 != 0 {
+            // SAFETY: forwarded from the caller.
+            acc = unsafe { acc.madd_pair(x0, x1, w0, w1) };
+        }
+        t += 2;
+    }
+    if t < nt {
+        let (w, x) = tap(t);
+        if w != 0 {
+            // SAFETY: forwarded from the caller.
+            acc = unsafe { acc.madd_pair(x, x, w, 0) };
+        }
+    }
+    acc
 }
 
 // ---------------------------------------------------------------------------
@@ -285,121 +385,27 @@ fn axpy_row_q<Q: QI8x32>(c: &mut [i32], w: i8, x: &[i8]) {
 // ---------------------------------------------------------------------------
 
 /// Serial row-stripe body of [`matmul_i8_acc`], generic over the
-/// backend.
+/// backend: per output row, 16-column blocks whose accumulators stay in
+/// registers across the whole `k` loop (loaded once, stored once), then
+/// a wrapping scalar column tail for `n % 16` (any order is
+/// bit-identical).
 #[inline(always)]
-fn matmul_i8_rows_g<Q: QI8x32>(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+fn matmul_i8_rows_g<Q: QPairs>(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+    let nb = matmul_qcover(n);
+    assert!(b.len() >= k * n, "rhs too short");
     for i in 0..m {
         let arow = &a[i * k..i * k + k];
         let crow = &mut c[i * n..i * n + n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0 {
-                continue; // exact for integers: the skipped axpy adds 0
-            }
-            axpy_row_q::<Q>(crow, av, &b[p * n..p * n + n]);
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    matmul_i8_rows_g::<Avx2Q>(a, b, c, m, k, n)
-}
-
-/// Packs two `i8` weights into the `[w0, w1]` `i16` pair `vpmaddwd`
-/// expects, replicated across a register by `_mm256_set1_epi32`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn pair_weights(w0: i8, w1: i8) -> i32 {
-    (((w1 as i16 as u16 as u32) << 16) | (w0 as i16 as u16 as u32)) as i32
-}
-
-/// The pairing-tier matmul body: 16-column register blocks whose
-/// accumulators stay in `vpmaddwd`'s interleaved pair layout across the
-/// whole `k` loop (no accumulator memory traffic per `k`), reducing two
-/// `i8×i8` products per instruction.
-///
-/// Layout: `_mm256_unpacklo_epi16(x0, x1)` interleaves in-lane, so the
-/// `madd` of the lo/hi unpacks yields columns `[0..4, 8..12]` and
-/// `[4..8, 12..16]`. The same two `_mm256_permute2x128_si256` shuffles
-/// (selectors `0x20`/`0x31`) convert between that layout and the
-/// natural `[0..8]`/`[8..16]` order in both directions, so existing
-/// accumulator values are permuted in once and the finished block is
-/// permuted back out once.
-///
-/// Exactness: pair sums from sign-extended `i8`s are exact in `i32`
-/// (see the module docs), and wrapping addition is associative, so
-/// this produces the same bits as [`matmul_i8_rows_g`] for every
-/// input, wrap-arounds included. A pair whose two weights are both
-/// zero is skipped — exact, since it contributes nothing; an odd final
-/// weight is processed as the pair `[w, 0]`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
-    use std::arch::x86_64::*;
-    let nb = n / 16 * 16;
-    for i in 0..m {
-        let arow = &a[i * k..i * k + k];
-        let crow = &mut c[i * n..i * n + n];
-        for j in (0..nb).step_by(16) {
+        for j in (0..nb).step_by(QLANES) {
             // SAFETY: j + 16 <= nb <= n bounds every 16-wide access in
-            // this block; p + 1 < k bounds the paired rows of `b`.
+            // this block: row p of `b` is read at p·n + j..p·n + j + 16
+            // with p < k, inside b[..k·n].
             unsafe {
                 let cp = crow.as_mut_ptr().add(j);
-                let acc0 = _mm256_loadu_si256(cp as *const __m256i);
-                let acc1 = _mm256_loadu_si256((cp as *const __m256i).add(1));
-                let mut m0 = _mm256_permute2x128_si256::<0x20>(acc0, acc1);
-                let mut m1 = _mm256_permute2x128_si256::<0x31>(acc0, acc1);
-                let mut p = 0usize;
-                while p + 1 < k {
-                    let (w0, w1) = (arow[p], arow[p + 1]);
-                    if w0 != 0 || w1 != 0 {
-                        let wp = _mm256_set1_epi32(pair_weights(w0, w1));
-                        let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add(p * n + j) as *const __m128i
-                        ));
-                        let x1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add((p + 1) * n + j) as *const __m128i,
-                        ));
-                        m0 = _mm256_add_epi32(
-                            m0,
-                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x1), wp),
-                        );
-                        m1 = _mm256_add_epi32(
-                            m1,
-                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x1), wp),
-                        );
-                    }
-                    p += 2;
-                }
-                if p < k {
-                    let w0 = arow[p];
-                    if w0 != 0 {
-                        let wp = _mm256_set1_epi32(pair_weights(w0, 0));
-                        let x0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                            b.as_ptr().add(p * n + j) as *const __m128i
-                        ));
-                        m0 = _mm256_add_epi32(
-                            m0,
-                            _mm256_madd_epi16(_mm256_unpacklo_epi16(x0, x0), wp),
-                        );
-                        m1 = _mm256_add_epi32(
-                            m1,
-                            _mm256_madd_epi16(_mm256_unpackhi_epi16(x0, x0), wp),
-                        );
-                    }
-                }
-                _mm256_storeu_si256(
-                    cp as *mut __m256i,
-                    _mm256_permute2x128_si256::<0x20>(m0, m1),
-                );
-                _mm256_storeu_si256(
-                    (cp as *mut __m256i).add(1),
-                    _mm256_permute2x128_si256::<0x31>(m0, m1),
-                );
+                let bj = b.as_ptr().add(j);
+                madd_taps(Q::load(cp), k, |p| (arow[p], bj.add(p * n))).store(cp);
             }
         }
-        // Column tail: plain wrapping scalar (any order is bit-identical).
         for j in nb..n {
             let mut acc = crow[j];
             for (p, &w) in arow.iter().enumerate() {
@@ -408,6 +414,12 @@ unsafe fn matmul_i8_rows_avx2pair(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k
             crow[j] = acc;
         }
     }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_i8_rows_avx2(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: usize) {
+    matmul_i8_rows_g::<Avx2Q>(a, b, c, m, k, n)
 }
 
 pub(crate) fn matmul_i8_rows(
@@ -424,12 +436,9 @@ pub(crate) fn matmul_i8_rows(
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => matmul_i8_rows_g::<Sse2Q>(a, b, c, m, k, n),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
         Backend::Avx2 => unsafe { matmul_i8_rows_avx2(a, b, c, m, k, n) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — `Avx2Pair` requires the same `avx2` detection.
-        Backend::Avx2Pair => unsafe { matmul_i8_rows_avx2pair(a, b, c, m, k, n) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }
@@ -457,8 +466,8 @@ pub fn matmul_i8_acc(a: &[i8], b: &[i8], c: &mut [i32], m: usize, k: usize, n: u
     let _span = telemetry::span("tensor.qmatmul");
     if telemetry::metrics_enabled() {
         telemetry::counter("quant.matmul.calls").inc();
-        // Nominal: the `a == 0` skip is not deducted.
-        record_qlanes("matmul", m * k * qvector_cover(n));
+        // Nominal: the zero-pair skip is not deducted.
+        record_qlanes("matmul", m * k * matmul_qcover(n));
     }
     par_chunks_mut(&mut c[..m * n], QBLOCK * n, |stripe, c_rows| {
         let i0 = stripe * QBLOCK;
@@ -505,18 +514,23 @@ fn dw_cell_scalar(x: &[i8], w9: &[i8], h: usize, wd: usize, y: usize, xc: usize)
 }
 
 /// Output rows `y0..y1` of one `(item, channel)` plane of
-/// [`dwconv3_i8`], generic over the backend: 32-wide blocks across the
-/// interior columns (all nine taps in-bounds horizontally, rows
-/// guarded), guarded scalar cells for the borders and the interior
-/// remainder. `o` covers exactly the destination rows (`(y1-y0)·wd`
-/// elements) and is **overwritten** — stale contents are zeroed before
-/// the interior accumulation, so callers may hand in dirty scratch.
+/// [`dwconv3_i8`], generic over the backend. Per output row the
+/// in-bounds taps are collected into a flat list (nine entries in the
+/// interior, six or three at the vertical borders) and reduced over
+/// 16-column blocks. Each block computes its cells from scratch and
+/// stores once, so an interior column remainder is covered by one extra
+/// block **overlapping** the previous one (re-storing identical bits),
+/// and only the two border columns take the guarded [`dw_cell_scalar`]
+/// path. Planes with fewer than 16 interior columns run every cell
+/// through [`dw_cell_scalar`].
 ///
-/// Rows are computed independently (the stencil reads only `x`), so any
-/// row banding produces the same bits as a full-plane pass — the fused
-/// INT8 bundle leans on this.
+/// `o` covers exactly the destination rows (`(y1-y0)·wd` elements) and
+/// is **overwritten**, so callers may hand in dirty scratch. Rows are
+/// computed independently (the stencil reads only `x`), so any row
+/// banding produces the same bits as a full-plane pass; the fused INT8
+/// bundle leans on this.
 #[inline(always)]
-fn dw_plane_rows_g<Q: QI8x32>(
+fn dw_plane_rows_g<Q: QPairs>(
     x: &[i8],
     w9: &[i8],
     o: &mut [i32],
@@ -525,35 +539,71 @@ fn dw_plane_rows_g<Q: QI8x32>(
     y0: usize,
     y1: usize,
 ) {
-    let wi = wd.saturating_sub(2); // interior columns 1..=wd-2
-    let nq = qvector_cover(wi);
+    let wi = dw_qcover(wd); // interior columns 1..=wd-2, or 0 if < 16
+    assert!(x.len() >= h * wd, "plane too short");
     for y in y0..y1 {
         let orow = &mut o[(y - y0) * wd..(y - y0 + 1) * wd];
-        orow[1..1 + nq].fill(0);
-        for bx in 0..nq / QLANES {
-            let xs = 1 + bx * QLANES;
-            for ky in 0..3 {
-                let iy = y + ky;
-                if iy < 1 || iy > h {
-                    continue;
-                }
-                let row = (iy - 1) * wd;
-                for kx in 0..3 {
-                    // In-bounds: xs-1 >= 0 and xs+1 + (QLANES-1) <= wd-1.
-                    let src = row + xs + kx - 1;
-                    // SAFETY: src + QLANES <= row + wd <= x.len(), and the
-                    // orow block is QLANES long starting at xs <= wd-QLANES-1.
-                    unsafe {
-                        Q::splat(w9[ky * 3 + kx])
-                            .axpy(orow.as_mut_ptr().add(xs), x.as_ptr().add(src));
-                    }
-                }
+        if wi == 0 {
+            for (xc, cell) in orow.iter_mut().enumerate() {
+                *cell = dw_cell_scalar(x, w9, h, wd, y, xc);
+            }
+            continue;
+        }
+        // In-bounds taps for this output row: (weight, row base + kx),
+        // so a block at column xs reads 16 bytes from base + xs - 1.
+        let mut taps = [(0i8, 0usize); 9];
+        let mut nt = 0;
+        for ky in 0..3 {
+            let iy = y + ky;
+            if iy < 1 || iy > h {
+                continue;
+            }
+            for kx in 0..3 {
+                taps[nt] = (w9[ky * 3 + kx], (iy - 1) * wd + kx);
+                nt += 1;
+            }
+        }
+        // SAFETY: every block column xs satisfies 1 <= xs and xs + 15
+        // <= wi = wd - 2, so each tap load base + xs - 1..base + xs + 15
+        // stays inside its input row and the store xs..xs + 16 inside
+        // `orow`.
+        unsafe {
+            let op = orow.as_mut_ptr();
+            for bx in 0..wi / QLANES {
+                dw_block::<Q>(x, &taps, nt, op, 1 + bx * QLANES);
+            }
+            if !wi.is_multiple_of(QLANES) {
+                // Overlapping tail block: recomputes some cells of the
+                // previous block to the same bits.
+                dw_block::<Q>(x, &taps, nt, op, 1 + wi - QLANES);
             }
         }
         orow[0] = dw_cell_scalar(x, w9, h, wd, y, 0);
-        for (xc, cell) in orow.iter_mut().enumerate().skip(1 + nq) {
-            *cell = dw_cell_scalar(x, w9, h, wd, y, xc);
-        }
+        orow[wd - 1] = dw_cell_scalar(x, w9, h, wd, y, wd - 1);
+    }
+}
+
+/// One 16-column block of the DW stencil at column `xs` of `orow`:
+/// reduces the row's `nt` in-bounds taps from zero and stores once
+/// (overwrite semantics). Tap `t` reads 16 bytes of `x` from
+/// `taps[t].1 + xs - 1`.
+///
+/// # Safety
+///
+/// Every tap read and the 16-wide store at `orow + xs` must be in
+/// bounds.
+#[inline(always)]
+unsafe fn dw_block<Q: QPairs>(
+    x: &[i8],
+    taps: &[(i8, usize); 9],
+    nt: usize,
+    orow: *mut i32,
+    xs: usize,
+) {
+    // SAFETY: forwarded from the caller.
+    unsafe {
+        let xp = x.as_ptr().add(xs - 1);
+        madd_taps(Q::zero(), nt, |t| (taps[t].0, xp.add(taps[t].1))).store(orow.add(xs));
     }
 }
 
@@ -569,134 +619,6 @@ unsafe fn dw_plane_rows_avx2(
     y1: usize,
 ) {
     dw_plane_rows_g::<Avx2Q>(x, w9, o, h, wd, y0, y1)
-}
-
-/// One 16-column pairing block of the DW stencil at column `xs`:
-/// reduces the row's in-bounds tap list two taps per `vpmaddwd` into
-/// zeroed register accumulators and stores once (overwrite semantics),
-/// in the same permuted layout as [`matmul_i8_rows_avx2pair`]. The
-/// taps of a pair may come from different input rows, each carrying
-/// its own base offset.
-///
-/// # Safety
-///
-/// Requires AVX2, `1 <= xs` and `xs + 15 <= wd - 2` (so every 16-byte
-/// tap load and the 16-wide store stay inside their rows), and `orow`
-/// spanning a full `wd`-column output row of the plane `x`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[inline]
-unsafe fn dw_block16_avx2pair(
-    x: &[i8],
-    taps: &[(i8, usize); 9],
-    nt: usize,
-    orow: *mut i32,
-    xs: usize,
-) {
-    use std::arch::x86_64::*;
-    let mut m0 = _mm256_setzero_si256();
-    let mut m1 = _mm256_setzero_si256();
-    let mut t = 0usize;
-    while t + 1 < nt {
-        let ((wa, ba), (wb, bb)) = (taps[t], taps[t + 1]);
-        if wa != 0 || wb != 0 {
-            let wp = _mm256_set1_epi32(pair_weights(wa, wb));
-            let xa = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                x.as_ptr().add(ba + xs - 1) as *const __m128i
-            ));
-            let xb = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                x.as_ptr().add(bb + xs - 1) as *const __m128i
-            ));
-            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(xa, xb), wp));
-            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(xa, xb), wp));
-        }
-        t += 2;
-    }
-    if t < nt {
-        let (wa, ba) = taps[t];
-        if wa != 0 {
-            let wp = _mm256_set1_epi32(pair_weights(wa, 0));
-            let xa = _mm256_cvtepi8_epi16(_mm_loadu_si128(
-                x.as_ptr().add(ba + xs - 1) as *const __m128i
-            ));
-            m0 = _mm256_add_epi32(m0, _mm256_madd_epi16(_mm256_unpacklo_epi16(xa, xa), wp));
-            m1 = _mm256_add_epi32(m1, _mm256_madd_epi16(_mm256_unpackhi_epi16(xa, xa), wp));
-        }
-    }
-    let op = orow.add(xs);
-    _mm256_storeu_si256(
-        op as *mut __m256i,
-        _mm256_permute2x128_si256::<0x20>(m0, m1),
-    );
-    _mm256_storeu_si256(
-        (op as *mut __m256i).add(1),
-        _mm256_permute2x128_si256::<0x31>(m0, m1),
-    );
-}
-
-/// The pairing-tier DW body: per output row the in-bounds taps are
-/// collected into a flat list (nine entries in the interior, six or
-/// three at the vertical borders) and reduced over 16-column register
-/// blocks ([`dw_block16_avx2pair`]). Because each block computes its
-/// cells from scratch and stores once — it never accumulates into the
-/// output — an interior column remainder is covered by one extra block
-/// **overlapping** the previous one (re-storing identical bits), so
-/// only the two border columns ever take the guarded scalar path.
-/// Bit-identity is the same exact-pairs argument: every output cell is
-/// the same wrapping-i32 tap sum no matter which block computes it.
-/// Planes too narrow for a block (interior < 16 columns) fall back to
-/// [`dw_cell_scalar`] for every cell, shared with every other backend.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dw_plane_rows_avx2pair(
-    x: &[i8],
-    w9: &[i8],
-    o: &mut [i32],
-    h: usize,
-    wd: usize,
-    y0: usize,
-    y1: usize,
-) {
-    let wi = wd.saturating_sub(2); // interior columns 1..=wd-2
-    for y in y0..y1 {
-        let orow = &mut o[(y - y0) * wd..(y - y0 + 1) * wd];
-        // In-bounds taps for this output row: (weight, row base + kx),
-        // so a block at column xs loads 16 bytes from base + xs - 1.
-        let mut taps = [(0i8, 0usize); 9];
-        let mut nt = 0;
-        for ky in 0..3 {
-            let iy = y + ky;
-            if iy < 1 || iy > h {
-                continue;
-            }
-            let row = (iy - 1) * wd;
-            for kx in 0..3 {
-                taps[nt] = (w9[ky * 3 + kx], row + kx);
-                nt += 1;
-            }
-        }
-        if wi >= 16 {
-            // SAFETY: every xs satisfies 1 <= xs and xs + 15 <= wi <=
-            // wd - 2, so loads and stores stay inside their rows.
-            unsafe {
-                let op = orow.as_mut_ptr();
-                for bx in 0..wi / 16 {
-                    dw_block16_avx2pair(x, &taps, nt, op, 1 + bx * 16);
-                }
-                if !wi.is_multiple_of(16) {
-                    // Overlapping tail block: recomputes some cells of
-                    // the previous block to the same bits.
-                    dw_block16_avx2pair(x, &taps, nt, op, 1 + wi - 16);
-                }
-            }
-            orow[0] = dw_cell_scalar(x, w9, h, wd, y, 0);
-            orow[wd - 1] = dw_cell_scalar(x, w9, h, wd, y, wd - 1);
-        } else {
-            for (xc, cell) in orow.iter_mut().enumerate() {
-                *cell = dw_cell_scalar(x, w9, h, wd, y, xc);
-            }
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -715,19 +637,12 @@ pub(crate) fn dw_plane_rows(
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => dw_plane_rows_g::<Sse2Q>(x, w9, o, h, wd, y0, y1),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
         Backend::Avx2 => unsafe { dw_plane_rows_avx2(x, w9, o, h, wd, y0, y1) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above — `Avx2Pair` requires the same `avx2` detection.
-        Backend::Avx2Pair => unsafe { dw_plane_rows_avx2pair(x, w9, o, h, wd, y0, y1) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }
-}
-
-fn dw_plane(be: Backend, x: &[i8], w9: &[i8], o: &mut [i32], h: usize, wd: usize) {
-    dw_plane_rows(be, x, w9, o, h, wd, 0, h)
 }
 
 /// Integer 3×3 depth-wise convolution, stride 1, zero padding 1 (the
@@ -752,17 +667,19 @@ pub fn dwconv3_i8(x: &[i8], w: &[i8], out: &mut [i32], n: usize, c: usize, h: us
     let _span = telemetry::span("tensor.qdwconv3");
     if telemetry::metrics_enabled() {
         telemetry::counter("quant.dwconv3.calls").inc();
-        record_qlanes("dwconv3", n * c * h * qvector_cover(wd.saturating_sub(2)));
+        record_qlanes("dwconv3", n * c * h * dw_qcover(wd));
     }
     par_chunks_mut(&mut out[..n * c * plane], plane, |pi, o| {
         let ch = pi % c;
-        dw_plane(
+        dw_plane_rows(
             be,
             &x[pi * plane..(pi + 1) * plane],
             &w[ch * 9..ch * 9 + 9],
             o,
             h,
             wd,
+            0,
+            h,
         );
     });
 }
@@ -890,9 +807,9 @@ fn quantize_be(be: Backend, src: &[f32], scale: f32, dst: &mut [i8]) -> u64 {
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => quantize_g::<Sse2V>(src, scale, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe { quantize_avx2(src, scale, dst) },
+        Backend::Avx2 => unsafe { quantize_avx2(src, scale, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }
@@ -994,11 +911,9 @@ pub fn requant_i8(
         #[cfg(target_arch = "x86_64")]
         Backend::Sse2 => requant_g::<Sse2V>(acc, mult, bias, clamp, out_scale, dst),
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backends are only ever active after runtime
+        // SAFETY: the Avx2 backend is only ever active after runtime
         // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 | Backend::Avx2Pair => unsafe {
-            requant_avx2(acc, mult, bias, clamp, out_scale, dst)
-        },
+        Backend::Avx2 => unsafe { requant_avx2(acc, mult, bias, clamp, out_scale, dst) },
         #[cfg(not(target_arch = "x86_64"))]
         _ => unreachable!("vector backends are never active off x86_64"),
     }
@@ -1313,12 +1228,26 @@ mod tests {
         );
     }
 
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn pairing_matmul_matches_scalar_generic_across_shapes() {
-        if !Backend::Avx2Pair.is_available() {
-            return;
+    /// Plants the pairing corners in an `m×k` weight matrix: every row
+    /// ends in a non-zero weight (the lone odd last weight when `k` is
+    /// odd), row 0 opens with a `(0, 0)` pair and row 1 with a pair whose
+    /// first weight alone is 0.
+    fn plant_pairs(a: &mut [i8], m: usize, k: usize) {
+        for i in 0..m {
+            if a[i * k + k - 1] == 0 {
+                a[i * k + k - 1] = -3;
+            }
         }
+        if k >= 3 {
+            a[..2].fill(0);
+            if m > 1 {
+                (a[k], a[k + 1]) = (0, 9);
+            }
+        }
+    }
+
+    #[test]
+    fn matmul_rows_match_naive_on_every_backend() {
         for (m, k, n) in [
             (1, 1, 1),
             (3, 4, 16),
@@ -1328,51 +1257,38 @@ mod tests {
             (3, 8, 16),
             (6, 2, 80),
         ] {
-            let a = seq_i8(m * k, 3);
+            let mut a = seq_i8(m * k, 3);
+            plant_pairs(&mut a, m, k);
             let b = seq_i8(k * n, 5);
-            // Pre-seeded accumulators exercise the permute-in path.
-            let mut want = vec![7i32; m * n];
-            let mut got = want.clone();
-            matmul_i8_rows_g::<ScalarQ>(&a, &b, &mut want, m, k, n);
-            // SAFETY: guarded by the availability check above.
-            unsafe { matmul_i8_rows_avx2pair(&a, &b, &mut got, m, k, n) };
-            assert_eq!(want, got, "m={m} k={k} n={n}");
+            // Pre-seeded accumulators: the rows body adds into `c`.
+            let want: Vec<i32> = naive_matmul(&a, &b, m, k, n)
+                .iter()
+                .map(|v| v.wrapping_add(7))
+                .collect();
+            for be in simd::available_backends() {
+                let mut got = vec![7i32; m * n];
+                matmul_i8_rows(be, &a, &b, &mut got, m, k, n);
+                assert_eq!(want, got, "{} m={m} k={k} n={n}", be.name());
+            }
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
-    fn pairing_matmul_wraps_identically() {
-        if !Backend::Avx2Pair.is_available() {
-            return;
-        }
-        let k = 1 << 18; // 262144 · 16384 = 2^32: wraps the i32 accumulator
-        let (a, b) = (vec![i8::MIN; k], vec![i8::MIN; k * 16]);
-        let mut want = vec![0i32; 16];
-        let mut got = vec![0i32; 16];
-        matmul_i8_rows_g::<ScalarQ>(&a, &b, &mut want, 1, k, 16);
-        // SAFETY: guarded by the availability check above.
-        unsafe { matmul_i8_rows_avx2pair(&a, &b, &mut got, 1, k, 16) };
-        assert_eq!(want, got);
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn pairing_dwconv_matches_scalar_generic_across_widths() {
-        if !Backend::Avx2Pair.is_available() {
-            return;
-        }
-        for wd in [1, 2, 3, 16, 17, 18, 19, 33, 40, 70] {
-            let h = 5;
-            let x = seq_i8(h * wd, 7);
-            let w9 = seq_i8(9, 11);
-            // Dirty scratch: dw_plane_rows has overwrite semantics.
-            let mut want = vec![-1i32; h * wd];
-            let mut got = vec![13i32; h * wd];
-            dw_plane_rows_g::<ScalarQ>(&x, &w9, &mut want, h, wd, 0, h);
-            // SAFETY: guarded by the availability check above.
-            unsafe { dw_plane_rows_avx2pair(&x, &w9, &mut got, h, wd, 0, h) };
-            assert_eq!(want, got, "wd={wd}");
+    fn dw_plane_rows_match_naive_on_every_backend() {
+        // The second filter plants a (0, 0) tap pair, a pair whose first
+        // weight alone is 0 and a lone odd last tap (interior rows).
+        for w9 in [seq_i8(9, 11), vec![0, 0, 0, 4, -7, 9, -2, 6, -5]] {
+            for wd in [1, 2, 3, 16, 17, 18, 19, 33, 40, 70] {
+                let h = 5;
+                let x = seq_i8(h * wd, 7);
+                let want = naive_dw(&x, &w9, h, wd);
+                for be in simd::available_backends() {
+                    // Dirty output: dw_plane_rows has overwrite semantics.
+                    let mut got = vec![13i32; h * wd];
+                    dw_plane_rows(be, &x, &w9, &mut got, h, wd, 0, h);
+                    assert_eq!(want, got, "{} wd={wd} w9={w9:?}", be.name());
+                }
+            }
         }
     }
 
@@ -1395,16 +1311,19 @@ mod tests {
     #[test]
     fn wrapping_accumulation_is_backend_stable() {
         // Products of -128·-128 accumulate past i32::MAX and must wrap
-        // identically to the naive wrapping loop.
-        let k = 1 << 18; // 262144 · 16384 = 2^32 → wraps twice over
+        // identically to the naive wrapping loop; n = 16 sends the wrap
+        // through a full vector block on every backend.
+        let (k, n) = (1 << 18, 16); // 262144 · 16384 = 2^32 → wraps twice over
         let a = vec![i8::MIN; k];
-        let b = vec![i8::MIN; k]; // k×1 matrix
-        let mut c = vec![0i32; 1];
-        matmul_i8(&a, &b, &mut c, 1, k, 1);
+        let b = vec![i8::MIN; k * n];
         let mut want = 0i32;
         for _ in 0..k {
             want = want.wrapping_add(16384);
         }
-        assert_eq!(c[0], want);
+        for be in simd::available_backends() {
+            let mut c = vec![0i32; n];
+            matmul_i8_rows(be, &a, &b, &mut c, 1, k, n);
+            assert_eq!(c, vec![want; n], "{}", be.name());
+        }
     }
 }

@@ -25,28 +25,24 @@
 //! The trait also carries the few ops the INT8 f32 epilogues in
 //! [`qint`](crate::qint) need — an `i32` → f32 convert, divide, an
 //! exact [`f32::round`] and a narrowing `i8` store — under the same
-//! per-lane bit-identity rule.
+//! per-lane bit-identity rule. The integer kernels themselves run over
+//! [`qint`](crate::qint)'s pair-`madd` lane trait on the same three
+//! backends; see *Pairs on every backend* there.
 //!
 //! ## Backend selection
 //!
 //! The active backend is a process-wide setting resolved once from the
-//! `SKYNET_SIMD` environment variable (`scalar`, `sse2`, `avx2`,
-//! `avx2pair`, or `auto` — the default — which picks the widest
-//! available). Forcing a backend the CPU cannot run is a **hard error**
-//! (panic), never a silent fallback. [`force`] flips the backend at
-//! runtime — safe precisely because all backends produce identical
-//! bits, so tests and benches can sweep backends in-process.
-//!
-//! [`Backend::Avx2Pair`] is the integer pairing tier: its f32 kernels
-//! are exactly the AVX2 ones, but the INT8 kernels in
-//! [`qint`](crate::qint) accumulate adjacent `i8×i8` products through
-//! `madd`-style pair reduction (still bit-identical — see the module
-//! docs there). It is preferred by `auto` wherever AVX2 is available.
+//! `SKYNET_SIMD` environment variable (`scalar`, `sse2`, `avx2`, or
+//! `auto` — the default — which picks the widest available). An unknown
+//! value, or a backend the CPU cannot run, is a **hard error** (panic),
+//! never a silent fallback. [`force`] flips the backend at runtime —
+//! safe precisely because all backends produce identical bits, so tests
+//! and benches can sweep backends in-process.
 //!
 //! ## Telemetry
 //!
 //! When metrics are on, the `simd.backend` gauge reports the resolved
-//! backend (0 = scalar, 1 = sse2, 2 = avx2, 3 = avx2pair) and `simd.<op>.lanes_used`
+//! backend (0 = scalar, 1 = sse2, 2 = avx2) and `simd.<op>.lanes_used`
 //! counters tally elements processed through the 8-lane kernels (the
 //! scalar backend replays the same lane structure, so its elements count
 //! too; for `matmul` the count is nominal — the `a == 0` skip is not
@@ -69,10 +65,6 @@ pub enum Backend {
     Sse2,
     /// AVX2 (`__m256`) — requires runtime CPU support.
     Avx2,
-    /// AVX2 with pairwise-`madd` INT8 accumulation. The f32 kernels are
-    /// identical to [`Backend::Avx2`]; only the integer kernels differ
-    /// (and only in throughput — never in output bits).
-    Avx2Pair,
 }
 
 impl Backend {
@@ -82,7 +74,6 @@ impl Backend {
             Backend::Scalar => "scalar",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
-            Backend::Avx2Pair => "avx2pair",
         }
     }
 
@@ -93,7 +84,7 @@ impl Backend {
             #[cfg(target_arch = "x86_64")]
             Backend::Sse2 => true,
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 | Backend::Avx2Pair => std::arch::is_x86_feature_detected!("avx2"),
+            Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -105,42 +96,40 @@ impl Backend {
             Backend::Scalar => 0,
             Backend::Sse2 => 1,
             Backend::Avx2 => 2,
-            Backend::Avx2Pair => 3,
         }
     }
 }
 
-/// Every `SKYNET_SIMD` value [`init_from_env`] accepts, in the order the
-/// hard error lists them. Pinned by a unit test so the message cannot
-/// silently drift from the parser.
-const ACCEPTED_SIMD_VALUES: &str = "scalar|sse2|avx2|avx2pair|auto";
-
-/// The unknown-`SKYNET_SIMD` hard-error text. Kept in a helper so the
-/// panic and the test pinning its wording share one definition.
-fn unknown_simd_value_message(other: &str) -> String {
-    format!("SKYNET_SIMD={other:?} is not a backend (expected {ACCEPTED_SIMD_VALUES})")
+/// Parses a `SKYNET_SIMD` value: `Ok(None)` for `auto` (or empty),
+/// which resolves to the widest available backend. The error lists
+/// every accepted value, so it cannot drift from the parser.
+fn parse_simd(v: &str) -> Result<Option<Backend>, String> {
+    match v {
+        "auto" | "" => Ok(None),
+        "scalar" => Ok(Some(Backend::Scalar)),
+        "sse2" => Ok(Some(Backend::Sse2)),
+        "avx2" => Ok(Some(Backend::Avx2)),
+        other => Err(format!(
+            "SKYNET_SIMD={other:?} is not a backend (expected scalar|sse2|avx2|auto)"
+        )),
+    }
 }
 
 /// Every backend this process can execute, widest last. The first entry
 /// is always [`Backend::Scalar`], so sweeps have a fixed oracle.
 pub fn available_backends() -> Vec<Backend> {
-    [
-        Backend::Scalar,
-        Backend::Sse2,
-        Backend::Avx2,
-        Backend::Avx2Pair,
-    ]
-    .into_iter()
-    .filter(|b| b.is_available())
-    .collect()
+    [Backend::Scalar, Backend::Sse2, Backend::Avx2]
+        .into_iter()
+        .filter(|b| b.is_available())
+        .collect()
 }
 
 /// `ACTIVE` encoding: 0 = unresolved, otherwise `Backend::code() + 1`.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 fn widest_available() -> Backend {
-    if Backend::Avx2Pair.is_available() {
-        Backend::Avx2Pair
+    if Backend::Avx2.is_available() {
+        Backend::Avx2
     } else if Backend::Sse2.is_available() {
         Backend::Sse2
     } else {
@@ -164,21 +153,17 @@ pub fn active() -> Backend {
         0 => init_from_env(),
         1 => Backend::Scalar,
         2 => Backend::Sse2,
-        3 => Backend::Avx2,
-        _ => Backend::Avx2Pair,
+        _ => Backend::Avx2,
     }
 }
 
 #[cold]
 fn init_from_env() -> Backend {
-    let be = match std::env::var("SKYNET_SIMD").as_deref() {
-        Err(_) | Ok("auto") | Ok("") => widest_available(),
-        Ok("scalar") => Backend::Scalar,
-        Ok("sse2") => Backend::Sse2,
-        Ok("avx2") => Backend::Avx2,
-        Ok("avx2pair") => Backend::Avx2Pair,
-        Ok(other) => panic!("{}", unknown_simd_value_message(other)),
-    };
+    let be = match std::env::var("SKYNET_SIMD") {
+        Ok(v) => parse_simd(&v).unwrap_or_else(|e| panic!("{e}")),
+        Err(_) => None,
+    }
+    .unwrap_or_else(widest_available);
     assert!(
         be.is_available(),
         "SKYNET_SIMD={} forced, but this CPU cannot execute it",
@@ -916,9 +901,9 @@ macro_rules! elementwise {
                 #[cfg(target_arch = "x86_64")]
                 Backend::Sse2 => $generic::<Sse2V>($($arg),*),
                 #[cfg(target_arch = "x86_64")]
-                // SAFETY: the Avx2 backends are only ever stored after a
+                // SAFETY: the Avx2 backend is only ever stored after a
                 // successful runtime `avx2` detection.
-                Backend::Avx2 | Backend::Avx2Pair => unsafe { $avx2($($arg),*) },
+                Backend::Avx2 => unsafe { $avx2($($arg),*) },
                 #[cfg(not(target_arch = "x86_64"))]
                 _ => unreachable!("x86 backends are never active off x86_64"),
             }
@@ -1301,29 +1286,32 @@ mod tests {
     }
 
     #[test]
-    fn avx2pair_tracks_avx2_availability() {
-        assert_eq!(
-            Backend::Avx2Pair.is_available(),
-            Backend::Avx2.is_available()
-        );
-        let all = available_backends();
-        assert_eq!(
-            all.contains(&Backend::Avx2Pair),
-            Backend::Avx2.is_available()
-        );
+    fn parse_simd_accepts_the_documented_values() {
+        assert_eq!(parse_simd("auto"), Ok(None));
+        assert_eq!(parse_simd(""), Ok(None));
+        assert_eq!(parse_simd("scalar"), Ok(Some(Backend::Scalar)));
+        assert_eq!(parse_simd("sse2"), Ok(Some(Backend::Sse2)));
+        assert_eq!(parse_simd("avx2"), Ok(Some(Backend::Avx2)));
+        for be in available_backends() {
+            assert_eq!(parse_simd(be.name()), Ok(Some(be)), "name round-trips");
+        }
     }
 
     /// Pins the unknown-`SKYNET_SIMD` hard-error wording: it must list
-    /// every accepted value, including the pairing tier.
+    /// every accepted value. A removed backend name is as unknown as a
+    /// typo.
     #[test]
     fn unknown_simd_value_error_lists_all_accepted_values() {
-        let msg = unknown_simd_value_message("turbo");
         assert_eq!(
-            msg,
-            "SKYNET_SIMD=\"turbo\" is not a backend (expected scalar|sse2|avx2|avx2pair|auto)"
+            parse_simd("turbo"),
+            Err("SKYNET_SIMD=\"turbo\" is not a backend (expected scalar|sse2|avx2|auto)".into())
         );
-        for accepted in ["scalar", "sse2", "avx2", "avx2pair", "auto"] {
-            assert!(msg.contains(accepted), "message must list {accepted:?}");
+        for bad in ["avx2pair", "turbo", "AVX2", " avx2"] {
+            let msg = parse_simd(bad).expect_err(bad);
+            assert!(
+                msg.contains("(expected scalar|sse2|avx2|auto)"),
+                "{bad:?}: {msg}"
+            );
         }
     }
 

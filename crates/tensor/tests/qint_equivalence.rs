@@ -1,5 +1,5 @@
 //! The INT8 determinism contract: every available SIMD backend must be
-//! **bit-identical** to the 32-lane scalar oracle on the integer
+//! **bit-identical** to the pair-replaying scalar oracle on the integer
 //! kernels (`matmul_i8_acc`, `dwconv3_i8`) over random shapes and
 //! values — including the `i8::MIN` corner and accumulators driven
 //! through i32 wrap-around — on the worker pool and under
@@ -27,6 +27,7 @@ use skynet_tensor::qint::{
 };
 use skynet_tensor::rng::SkyRng;
 use skynet_tensor::simd::{self, Backend};
+use skynet_tensor::telemetry;
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -177,7 +178,7 @@ proptest! {
 #[test]
 fn accumulator_wraps_identically_across_backends() {
     let k = 1usize << 18; // 2^18 · 16384 = 2^32: wraps past i32::MAX
-    let n = 67; // full 32-blocks + scalar tail
+    let n = 67; // four 16-column blocks + a scalar tail
     let a = vec![i8::MIN; k];
     let b = vec![i8::MIN; k * n];
     assert_backends_agree("matmul_i8 wrap", || {
@@ -189,6 +190,54 @@ fn accumulator_wraps_identically_across_backends() {
     let mut c = vec![0i32; n];
     matmul_i8_acc(&a, &b, &mut c, 1, k, n);
     assert!(c.iter().all(|&v| v == 0), "2^32 wraps to exactly zero");
+}
+
+/// `quant.<op>.lanes_used` counts the elements the one integer body
+/// covers, each once, identically on every backend: the DW counter
+/// takes every interior column once a plane has 16 of them (the
+/// overlapping tail block included), and the matmul counter every
+/// column of a full 16-column block.
+#[test]
+fn lanes_used_counts_what_the_blocks_cover_on_every_backend() {
+    let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let lanes = |op: &str| telemetry::counter(&format!("quant.{op}.lanes_used")).value();
+    telemetry::Builder::new().metrics(true).trace(false).apply();
+    for be in simd::available_backends() {
+        let name = be.name();
+        with_backend(be, || {
+            // (wd, interior columns per row the blocks cover): 20 → all
+            // 18 via one block plus an overlapping tail; 40 → all 38;
+            // 17 → 15 interior columns, too few for a block.
+            for (wd, per_row) in [(20usize, 18u64), (40, 38), (17, 0)] {
+                let (c, h) = (2, 3);
+                let x = vec![1i8; c * h * wd];
+                let mut out = vec![0i32; c * h * wd];
+                telemetry::reset_metrics();
+                dwconv3_i8(&x, &[1i8; 18], &mut out, 1, c, h, wd);
+                assert_eq!(
+                    lanes("dwconv3"),
+                    c as u64 * h as u64 * per_row,
+                    "{name}: dwconv3 wd={wd}"
+                );
+            }
+            // (n, columns per accumulation step the blocks cover).
+            for (n, cover) in [(16usize, 16u64), (17, 16), (15, 0)] {
+                let (m, k) = (2, 3);
+                let mut c = vec![0i32; m * n];
+                telemetry::reset_metrics();
+                matmul_i8_acc(&vec![1i8; m * k], &vec![1i8; k * n], &mut c, m, k, n);
+                assert_eq!(
+                    lanes("matmul"),
+                    (m * k) as u64 * cover,
+                    "{name}: matmul n={n}"
+                );
+            }
+        });
+    }
+    telemetry::Builder::new()
+        .metrics(false)
+        .trace(false)
+        .apply();
 }
 
 /// The pinned SkyNet geometries (quarter-scale bundle widths) agree
