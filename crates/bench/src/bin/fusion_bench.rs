@@ -1,8 +1,8 @@
 //! End-to-end fused-vs-unfused forward benchmark.
 //!
 //! Runs the model-C backbone (width ÷8, 160×320 input — the same
-//! configuration `profile` measures) in eval mode with the graph-level
-//! execution plan on (`SKYNET_FUSION=on`: BN-fold + fused activation +
+//! configuration `profile` measures) in eval mode with the fused
+//! execution plan on (`SKYNET_FUSION=on`: BN epilogue + fused activation +
 //! cache-resident DW→PW bundle tiles) and off (the unfused
 //! layer-by-layer oracle), pooled and forced-serial, and reports the
 //! speedup. Before timing, the two paths' outputs are asserted

@@ -283,8 +283,8 @@ fn main() {
     );
     let _ = writeln!(
         report,
-        "{fused_e2e_ms:.2} ms/iter through the graph-level plan \
-         (BN-fold + fused activation + cache-resident DW→PW bundle \
+        "{fused_e2e_ms:.2} ms/iter through the fused plan \
+         (BN epilogue + fused activation + cache-resident DW→PW bundle \
          tiles) vs {e2e_ms:.2} ms/iter unfused — **{:.2}x** — with \
          bit-identical output (see `fusion_bench`). The `fused.bundleN` \
          spans replace `skynet.bundleN`; coverage and the zero-arena-miss \

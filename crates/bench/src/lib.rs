@@ -26,11 +26,32 @@ pub enum Budget {
 }
 
 impl Budget {
-    /// Reads the budget from the environment (default [`Budget::Full`]).
+    /// Reads the budget from `SKYNET_BENCH_BUDGET` (unset means
+    /// [`Budget::Full`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics (hard error, by design) on any value [`Budget::parse`]
+    /// rejects: like `SKYNET_SIMD` and `SKYNET_THREADS`, a typo must never
+    /// silently change what runs.
     pub fn from_env() -> Budget {
-        match std::env::var("SKYNET_BENCH_BUDGET").as_deref() {
-            Ok("fast") => Budget::Fast,
-            _ => Budget::Full,
+        let v = std::env::var("SKYNET_BENCH_BUDGET").unwrap_or_default();
+        Budget::parse(&v).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Parses a `SKYNET_BENCH_BUDGET` value: `fast` or `full`, with the
+    /// empty string meaning `full`. The error names the accepted values.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error message for any other value.
+    pub fn parse(v: &str) -> Result<Budget, String> {
+        match v {
+            "fast" => Ok(Budget::Fast),
+            "full" | "" => Ok(Budget::Full),
+            other => Err(format!(
+                "SKYNET_BENCH_BUDGET={other:?} is not a budget (expected fast|full)"
+            )),
         }
     }
 
@@ -39,6 +60,26 @@ impl Budget {
         match self {
             Budget::Fast => fast,
             Budget::Full => full,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Budget;
+
+    #[test]
+    fn budget_parse_accepts_fast_and_full_and_rejects_typos() {
+        assert_eq!(Budget::parse("fast"), Ok(Budget::Fast));
+        assert_eq!(Budget::parse("full"), Ok(Budget::Full));
+        assert_eq!(Budget::parse(""), Ok(Budget::Full));
+        assert_eq!(
+            Budget::parse("Fast"),
+            Err("SKYNET_BENCH_BUDGET=\"Fast\" is not a budget (expected fast|full)".into())
+        );
+        for bad in ["fst", "FULL", " fast", "1"] {
+            let msg = Budget::parse(bad).expect_err(bad);
+            assert!(msg.contains("(expected fast|full)"), "{bad:?}: {msg}");
         }
     }
 }

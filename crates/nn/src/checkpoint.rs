@@ -9,7 +9,7 @@
 use crate::Layer;
 use std::fmt;
 use std::fs::File;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"SKYN";
@@ -131,42 +131,76 @@ pub fn save_params(model: &mut dyn Layer, path: impl AsRef<Path>) -> Result<(), 
 /// Restores parameters saved by [`save_params`] into a structurally
 /// identical model.
 ///
+/// The header is not trusted: the parameter count and every blob length
+/// are checked against the bytes left in the file before anything is
+/// allocated, so a corrupt or hostile file fails cleanly instead of
+/// asking for gigabytes.
+///
 /// # Errors
 ///
-/// Returns [`CheckpointError::BadHeader`] for foreign files and
-/// [`CheckpointError::ModelMismatch`] when the parameter inventory
-/// disagrees with the model.
+/// Returns [`CheckpointError::BadHeader`] for foreign, truncated or
+/// inconsistent files and [`CheckpointError::ModelMismatch`] when the
+/// parameter inventory disagrees with the model.
 pub fn load_params(model: &mut dyn Layer, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let mut file = File::open(path)?;
-    let mut magic = [0u8; 4];
-    file.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    let bytes = std::fs::read(path)?;
+    let mut file = Fields(&bytes);
+    if file.take(4, "magic")? != MAGIC {
         return Err(CheckpointError::BadHeader("wrong magic bytes".into()));
     }
-    let mut u32buf = [0u8; 4];
-    file.read_exact(&mut u32buf)?;
-    let version = u32::from_le_bytes(u32buf);
-    if version != VERSION {
+    let version = file.u32("version")?;
+    if version != VERSION as usize {
         return Err(CheckpointError::BadHeader(format!(
             "unsupported version {version}"
         )));
     }
-    file.read_exact(&mut u32buf)?;
-    let count = u32::from_le_bytes(u32buf) as usize;
+    let count = file.u32("parameter count")?;
+    // Every parameter needs at least its 4-byte length field.
+    if count > file.0.len() / 4 {
+        return Err(CheckpointError::BadHeader(format!(
+            "parameter count {count} exceeds the {} bytes left in the file",
+            file.0.len()
+        )));
+    }
     let mut blobs: Vec<Vec<f32>> = Vec::with_capacity(count);
-    for _ in 0..count {
-        file.read_exact(&mut u32buf)?;
-        let len = u32::from_le_bytes(u32buf) as usize;
-        let mut bytes = vec![0u8; len * 4];
-        file.read_exact(&mut bytes)?;
+    for i in 0..count {
+        let len = file.u32(&format!("parameter {i} length"))?;
+        let data = file.take(
+            len.saturating_mul(4),
+            &format!("parameter {i} ({len} values)"),
+        )?;
         blobs.push(
-            bytes
-                .chunks_exact(4)
+            data.chunks_exact(4)
                 .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
                 .collect(),
         );
     }
     apply_params(model, &blobs)
+}
+
+/// The unread tail of a checkpoint file; every read is checked against
+/// it, so no header field can ask for more than the file holds.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// The next `n` bytes, or [`CheckpointError::BadHeader`] naming
+    /// `field` when fewer are left.
+    fn take(&mut self, n: usize, field: &str) -> Result<&'a [u8], CheckpointError> {
+        if self.0.len() < n {
+            return Err(CheckpointError::BadHeader(format!(
+                "{field} needs {n} bytes, {} left in the file",
+                self.0.len()
+            )));
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    /// The next little-endian `u32` field.
+    fn u32(&mut self, field: &str) -> Result<usize, CheckpointError> {
+        let b = self.take(4, field)?;
+        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+    }
 }
 
 #[cfg(test)]
@@ -213,6 +247,64 @@ mod tests {
         let err = load_params(&mut b, &path).unwrap_err();
         assert!(matches!(err, CheckpointError::ModelMismatch(_)));
         std::fs::remove_file(path).ok();
+    }
+
+    /// Loads `bytes` as a checkpoint into a one-layer model. Every call
+    /// must return, never abort on a huge allocation.
+    fn load_bytes(name: &str, bytes: &[u8]) -> Result<(), CheckpointError> {
+        let path = tmpfile(name);
+        std::fs::write(&path, bytes).unwrap();
+        let mut rng = SkyRng::new(0);
+        let mut m = Sequential::new(vec![Box::new(Conv2d::pointwise(2, 3, &mut rng))]);
+        let res = load_params(&mut m, &path);
+        std::fs::remove_file(path).ok();
+        res
+    }
+
+    fn header(count: u32) -> Vec<u8> {
+        let mut b = MAGIC.to_vec();
+        b.extend_from_slice(&VERSION.to_le_bytes());
+        b.extend_from_slice(&count.to_le_bytes());
+        b
+    }
+
+    #[test]
+    fn huge_parameter_count_is_a_bad_header() {
+        let err = load_bytes("huge-count", &header(u32::MAX)).unwrap_err();
+        match err {
+            CheckpointError::BadHeader(d) => assert!(d.contains("parameter count"), "{d}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn blob_length_past_eof_is_a_bad_header() {
+        let mut b = header(1);
+        b.extend_from_slice(&u32::MAX.to_le_bytes());
+        b.extend_from_slice(&1.0f32.to_le_bytes());
+        let err = load_bytes("huge-len", &b).unwrap_err();
+        match err {
+            CheckpointError::BadHeader(d) => assert!(d.contains("parameter 0"), "{d}"),
+            other => panic!("expected BadHeader, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_truncation_of_a_valid_checkpoint_is_an_error() {
+        let mut rng = SkyRng::new(0);
+        let mut a = Sequential::new(vec![Box::new(Conv2d::pointwise(2, 3, &mut rng))]);
+        let path = tmpfile("truncate-src");
+        save_params(&mut a, &path).unwrap();
+        let full = std::fs::read(&path).unwrap();
+        std::fs::remove_file(path).ok();
+        assert!(load_bytes("truncate-full", &full).is_ok());
+        for cut in 0..full.len() {
+            assert!(
+                load_bytes("truncate", &full[..cut]).is_err(),
+                "{cut} of {} bytes loaded",
+                full.len()
+            );
+        }
     }
 
     #[test]

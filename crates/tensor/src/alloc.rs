@@ -96,12 +96,7 @@ pub fn enabled() -> bool {
         STATE_ON => true,
         STATE_OFF => false,
         _ => {
-            let on = matches!(
-                std::env::var("SKYNET_ALLOC_STATS")
-                    .as_deref()
-                    .map(str::trim),
-                Ok("1") | Ok("true") | Ok("on") | Ok("yes")
-            );
+            let on = crate::telemetry::env_truthy("SKYNET_ALLOC_STATS");
             STATE.store(if on { STATE_ON } else { STATE_OFF }, Ordering::Relaxed);
             on
         }

@@ -21,16 +21,27 @@
 //! pixels must be visited in a fixed raster order for determinism (f32
 //! addition does not commute).
 //!
-//! ## SIMD and the lane-ordered contract
+//! ## One forward body, two epilogues
 //!
-//! The interior rows of the `k = 3`, stride-1/2 kernels (the only
-//! geometries SkyNet instantiates) run 8 outputs at a time through the
-//! [`simd`] lane abstraction, dispatched over the active
-//! backend:
+//! The `k = 3`, stride-1/2 forward (the only geometries SkyNet
+//! instantiates) has exactly one body, `dw3_band_v`: output rows
+//! `y0..y1` of one plane, border pixels through the generic code and
+//! interior pixels 8 at a time through the [`simd`] lane abstraction,
+//! dispatched over the active backend. A const switch picks its store
+//! epilogue:
+//!
+//! * **identity** — [`dwconv2d`] runs the body over every row of every
+//!   plane; the identity arm does no arithmetic, so the stored value is
+//!   the convolution itself;
+//! * **BN + activation** — the fused bundle ([`crate::fused`]) runs it
+//!   over one row band at a time with `bn_apply_eval` + `relu/relu6`'s
+//!   exact per-element sequence folded into the store.
+//!
+//! ## SIMD and the lane-ordered contract
 //!
 //! * **forward** — each output pixel is independent, but the lane
 //!   kernel sums its nine products in a fixed **balanced tree** (see
-//!   `dw3_fwd_row_pre`) instead of the reference's left-to-right chain:
+//!   `dw3_block`) instead of the reference's left-to-right chain:
 //!   the tree cuts the add critical path from 9 to 4 dependent adds,
 //!   which is where the wide backends' speedup comes from. Every
 //!   backend — the scalar one included — replays that exact tree, so
@@ -58,7 +69,7 @@ use crate::{Result, Shape, Tensor, TensorError};
 #[cfg(target_arch = "x86_64")]
 use crate::simd::{Avx2V, Sse2V};
 
-fn check(input: Shape, weight: Shape, geo: ConvGeometry) -> Result<()> {
+fn check(input: Shape, weight: Shape, bias: Option<&[f32]>, geo: ConvGeometry) -> Result<()> {
     if weight.n != input.c || weight.c != 1 || weight.h != geo.kernel || weight.w != geo.kernel {
         return Err(TensorError::ShapeMismatch {
             op: "dwconv2d",
@@ -66,7 +77,26 @@ fn check(input: Shape, weight: Shape, geo: ConvGeometry) -> Result<()> {
             got: weight.to_string(),
         });
     }
-    check_geometry(input, geo, "dwconv2d")
+    check_geometry(input, geo, "dwconv2d")?;
+    match bias {
+        Some(b) if b.len() != input.c => Err(TensorError::ShapeMismatch {
+            op: "dwconv2d bias",
+            expected: format!("{} entries", input.c),
+            got: format!("{} entries", b.len()),
+        }),
+        _ => Ok(()),
+    }
+}
+
+/// Interior pixels the 8-lane blocks cover in an `n·c`-plane DW pass
+/// (the `simd` lane counter's count); 0 off the lane geometries.
+fn lane_pixels(is: Shape, os: Shape, k: usize, s: usize, p: usize) -> usize {
+    if k != 3 || (s != 1 && s != 2) {
+        return 0;
+    }
+    let (y_lo, y_hi) = interior_range(os.h, is.h, k, s, p);
+    let (x_lo, x_hi) = interior_range(os.w, is.w, k, s, p);
+    is.n * is.c * y_hi.saturating_sub(y_lo) * simd::vector_cover(x_hi.saturating_sub(x_lo))
 }
 
 /// Output positions along one axis whose receptive field lies fully
@@ -129,261 +159,13 @@ unsafe fn tap<V: F32x8, const S: usize>(row: *const f32) -> V {
     }
 }
 
-/// One 8-pixel forward block at pre-offset row/output pointers. Each
-/// lane's value depends only on its pixel index — never on where the
-/// pixel sits within the block — so overlapping blocks recompute
-/// identical bits.
-///
-/// # Safety
-/// Each row pointer must be valid for the tap reach (`2 + 8` slots at
-/// S = 1, `2 + 15` at S = 2) and `po` for an 8-slot store.
-#[inline(always)]
-unsafe fn dw3_fwd_block<V: F32x8, const S: usize>(
-    p0: *const f32,
-    p1: *const f32,
-    p2: *const f32,
-    po: *mut f32,
-    fv: &[V; 9],
-    bvv: V,
-) {
-    // SAFETY: forwarded to the caller.
-    unsafe {
-        let t0 = tap::<V, S>(p0).mul(fv[0]);
-        let t1 = tap::<V, S>(p0.add(1)).mul(fv[1]);
-        let t2 = tap::<V, S>(p0.add(2)).mul(fv[2]);
-        let t3 = tap::<V, S>(p1).mul(fv[3]);
-        let t4 = tap::<V, S>(p1.add(1)).mul(fv[4]);
-        let t5 = tap::<V, S>(p1.add(2)).mul(fv[5]);
-        let t6 = tap::<V, S>(p2).mul(fv[6]);
-        let t7 = tap::<V, S>(p2.add(1)).mul(fv[7]);
-        let t8 = tap::<V, S>(p2.add(2)).mul(fv[8]);
-        // The documented balanced tree — do not reassociate.
-        let left = t0.add(t1).add(t2.add(t3));
-        let right = t4.add(t5).add(t6.add(t7));
-        let acc = left.add(right).add(t8.add(bvv));
-        acc.store_ptr(po);
-    }
-}
+/// The per-channel BN-eval + clamped-activation epilogue `(mean,
+/// inv_std, gamma, beta, ceiling)` of the fused store, with `ceiling =
+/// f32::INFINITY` for plain ReLU.
+pub(crate) type BnActEp = (f32, f32, f32, f32, f32);
 
-/// Vector interior row with the filter/bias lanes already splatted (the
-/// per-plane drivers hoist the ten broadcasts out of the row loop).
-/// Each lane sums its nine products in the fixed balanced tree
-///
-/// ```text
-/// ((t0+t1) + (t2+t3)) + ((t4+t5) + (t6+t7))  +  (t8 + bias)
-/// ```
-///
-/// (final sum associated `(left + right) + tail`), **not** the
-/// reference's left-to-right chain: the tree cuts the add critical path
-/// from 9 to 4 dependent adds per pixel, which is what lets the wide
-/// backends run ahead of the scalar chain. Every backend replays this
-/// exact order, so backends stay bit-identical to each other while the
-/// interior differs from [`reference`] by rounding only (the
-/// `kernel_equivalence` suite bounds it).
-///
-/// A sub-8-pixel remainder is finished by one **overlapped** block
-/// ending at the last pixel: a lane's value is independent of its
-/// position within a block, so the re-stored pixels keep their exact
-/// bits and no serial tail loop runs. Rows shorter than 8 pixels fall
-/// back to the chain-ordered [`dw3_fwd_row`] on every backend alike.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn dw3_fwd_row_pre<V: F32x8, const S: usize>(
-    out: &mut [f32],
-    r0: &[f32],
-    r1: &[f32],
-    r2: &[f32],
-    fv: &[V; 9],
-    bvv: V,
-    f: &[f32],
-    bv: f32,
-) {
-    let m = out.len();
-    if m < LANES {
-        return dw3_fwd_row::<S>(out, r0, r1, r2, f, bv);
-    }
-    // One bounds proof up front, then an unchecked block loop: LLVM does
-    // not eliminate per-tap slice checks through the backend dispatch,
-    // and 9 taps × (slice + length check) per 8-pixel block otherwise
-    // outnumber the 19 arithmetic instructions. The furthest read of any
-    // block — including the overlapped one at `m - LANES` — is within
-    // the row span `(m-1)*S + 3` that every caller provides.
-    let need = (m - 1) * S + 3;
-    assert!(
-        r0.len() >= need && r1.len() >= need && r2.len() >= need,
-        "interior rows too short for vector blocks"
-    );
-    let m8 = simd::vector_cover(m);
-    let (p0, p1, p2, po) = (r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), out.as_mut_ptr());
-    // Two independent blocks per iteration: their balanced trees overlap
-    // in the pipeline, hiding the add latency a single-block loop leaves
-    // exposed. Block order and per-block arithmetic are unchanged, so
-    // the output is bitwise identical to the one-block-at-a-time loop.
-    let mut j = 0;
-    // SAFETY: the assert above proves every tap of every block ending at
-    // or before pixel `m` stays inside `r0`/`r1`/`r2`, and `j + 8 <= m
-    // <= out.len()` covers each store.
-    while j + 2 * LANES <= m8 {
-        let x = j * S;
-        unsafe {
-            dw3_fwd_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv);
-            let x2 = x + LANES * S;
-            dw3_fwd_block::<V, S>(
-                p0.add(x2),
-                p1.add(x2),
-                p2.add(x2),
-                po.add(j + LANES),
-                fv,
-                bvv,
-            );
-        }
-        j += 2 * LANES;
-    }
-    if j < m8 {
-        let x = j * S;
-        // SAFETY: as above; `j + LANES <= m8` by `vector_cover`.
-        unsafe {
-            dw3_fwd_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv);
-        }
-    }
-    if m8 < m {
-        // Overlapped final block: recomputes up to 7 already-stored
-        // pixels bit-identically and lands the remainder without a
-        // serial tail.
-        let j = m - LANES;
-        let x = j * S;
-        // SAFETY: as above; `j + LANES == m`.
-        unsafe {
-            dw3_fwd_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv);
-        }
-    }
-}
-
-/// [`dw3_fwd_row_pre`] with the splats done here: the standalone row
-/// entry used by the unit tests and microbenchmarks.
-#[cfg(test)]
-#[inline(always)]
-fn dw3_fwd_row_v<V: F32x8, const S: usize>(
-    out: &mut [f32],
-    r0: &[f32],
-    r1: &[f32],
-    r2: &[f32],
-    f: &[f32],
-    bv: f32,
-) {
-    let fv: [V; 9] = std::array::from_fn(|t| V::splat(f[t]));
-    let bvv = V::splat(bv);
-    dw3_fwd_row_pre::<V, S>(out, r0, r1, r2, &fv, bvv, f, bv);
-}
-
-#[cfg(all(test, target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-unsafe fn dw3_fwd_row_avx2<const S: usize>(
-    out: &mut [f32],
-    r0: &[f32],
-    r1: &[f32],
-    r2: &[f32],
-    f: &[f32],
-    bv: f32,
-) {
-    dw3_fwd_row_v::<Avx2V, S>(out, r0, r1, r2, f, bv)
-}
-
-/// All interior forward rows of one plane, one backend: the filter and
-/// bias broadcasts happen once here, not once per row.
-///
-/// `inline(always)` is load-bearing: the AVX2 wrapper relies on this
-/// body inlining into its `#[target_feature(enable = "avx2")]` scope —
-/// as a standalone baseline-ISA function the 256-bit ops would be
-/// legalized into split halves.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn dw3_fwd_interior_v<V: F32x8, const S: usize>(
-    chan_out: &mut [f32],
-    chan_in: &[f32],
-    filt: &[f32],
-    bv: f32,
-    is: Shape,
-    os: Shape,
-    (x_lo, x_hi): (usize, usize),
-    (y_lo, y_hi): (usize, usize),
-    p: usize,
-) {
-    let fv: [V; 9] = std::array::from_fn(|t| V::splat(filt[t]));
-    let bvv = V::splat(bv);
-    let ix0 = x_lo * S - p;
-    let span = (x_hi - 1 - x_lo) * S + 3;
-    for oy in y_lo..y_hi {
-        let iy0 = oy * S - p;
-        let r0 = &chan_in[iy0 * is.w + ix0..iy0 * is.w + ix0 + span];
-        let r1 = &chan_in[(iy0 + 1) * is.w + ix0..(iy0 + 1) * is.w + ix0 + span];
-        let r2 = &chan_in[(iy0 + 2) * is.w + ix0..(iy0 + 2) * is.w + ix0 + span];
-        let interior = &mut chan_out[oy * os.w + x_lo..oy * os.w + x_hi];
-        dw3_fwd_row_pre::<V, S>(interior, r0, r1, r2, &fv, bvv, filt, bv);
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn dw3_fwd_interior_avx2<const S: usize>(
-    chan_out: &mut [f32],
-    chan_in: &[f32],
-    filt: &[f32],
-    bv: f32,
-    is: Shape,
-    os: Shape,
-    xr: (usize, usize),
-    yr: (usize, usize),
-    p: usize,
-) {
-    dw3_fwd_interior_v::<Avx2V, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
-}
-
-/// Interior forward dispatch, per plane. Every backend — including
-/// scalar — runs the generic lane kernel with its balanced accumulation
-/// tree, so all backends are bit-identical by construction ([`ScalarV`]
-/// replays the vector order literally). The chain-ordered
-/// [`dw3_fwd_row`] serves sub-8-pixel interiors and non-lane geometries.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn dw3_fwd_interior_dispatch<const S: usize>(
-    be: Backend,
-    chan_out: &mut [f32],
-    chan_in: &[f32],
-    filt: &[f32],
-    bv: f32,
-    is: Shape,
-    os: Shape,
-    xr: (usize, usize),
-    yr: (usize, usize),
-    p: usize,
-) {
-    match be {
-        Backend::Scalar => {
-            dw3_fwd_interior_v::<ScalarV, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => {
-            dw3_fwd_interior_v::<Sse2V, S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
-        }
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backend is only ever active after runtime
-        // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 => unsafe {
-            dw3_fwd_interior_avx2::<S>(chan_out, chan_in, filt, bv, is, os, xr, yr, p)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fused-store variants: DW-Conv3 + BN-eval + clamped activation
-// ---------------------------------------------------------------------------
-
-/// Splatted per-channel BN-eval + clamp epilogue constants for the fused
-/// store loops: `y = min(max(g·(x − m)·inv_std + b, 0), hi)`.
+/// Splatted [`BnActEp`] constants for the vector store loop:
+/// `y = min(max(g·(x − m)·inv_std + b, 0), hi)`.
 #[derive(Clone, Copy)]
 struct EpV<V> {
     mv: V,
@@ -396,7 +178,7 @@ struct EpV<V> {
 
 impl<V: F32x8> EpV<V> {
     #[inline(always)]
-    fn new((m, inv_std, g, b, hi): (f32, f32, f32, f32, f32)) -> Self {
+    fn new((m, inv_std, g, b, hi): BnActEp) -> Self {
         EpV {
             mv: V::splat(m),
             sv: V::splat(inv_std),
@@ -423,7 +205,7 @@ impl<V: F32x8> EpV<V> {
 /// same `maxps`/`minps` lane semantics the elementwise kernels' scalar
 /// tails replay).
 #[inline(always)]
-fn bnact_scalar(xs: &mut [f32], (m, inv_std, g, b, hi): (f32, f32, f32, f32, f32)) {
+fn bnact_scalar(xs: &mut [f32], (m, inv_std, g, b, hi): BnActEp) {
     for v in xs {
         let y = g * (*v - m) * inv_std + b;
         let t = if y > 0.0 { y } else { 0.0 };
@@ -431,15 +213,34 @@ fn bnact_scalar(xs: &mut [f32], (m, inv_std, g, b, hi): (f32, f32, f32, f32, f32
     }
 }
 
-/// [`dw3_fwd_block`] with the BN+activation epilogue applied in
-/// register before the store — the fused store loop. The accumulator
-/// replays the documented balanced tree bit-for-bit; the epilogue is
-/// per-lane, so overlapped blocks still recompute identical bits.
+/// One 8-pixel block at pre-offset row/output pointers. Each lane sums
+/// its nine products in the fixed balanced tree
+///
+/// ```text
+/// ((t0+t1) + (t2+t3)) + ((t4+t5) + (t6+t7))  +  (t8 + bias)
+/// ```
+///
+/// (final sum associated `(left + right) + tail`), **not** the
+/// reference's left-to-right chain: the tree cuts the add critical path
+/// from 9 to 4 dependent adds per pixel, which is what lets the wide
+/// backends run ahead of the scalar chain. Every backend replays this
+/// exact order, so backends stay bit-identical to each other while the
+/// interior differs from [`reference`] by rounding only (the
+/// `kernel_equivalence` suite bounds it).
+///
+/// With `BN` the epilogue is applied in register before the store;
+/// without it the sum is stored as is. A lane's value depends only on
+/// its pixel, never on where the pixel sits within the block, so
+/// overlapping blocks recompute identical bits.
 ///
 /// # Safety
-/// Same contract as [`dw3_fwd_block`].
+/// Block `j` (output pixels `j..j + 8`) reads from `j·S` on: each row
+/// pointer must be valid for the tap reach from there (`2 + 8` slots at
+/// S = 1, `2 + 15` at S = 2) and `po + j` for an 8-slot store.
 #[inline(always)]
-unsafe fn dw3_bnact_block<V: F32x8, const S: usize>(
+#[allow(clippy::too_many_arguments)]
+unsafe fn dw3_block<V: F32x8, const S: usize, const BN: bool>(
+    j: usize,
     p0: *const f32,
     p1: *const f32,
     p2: *const f32,
@@ -450,6 +251,7 @@ unsafe fn dw3_bnact_block<V: F32x8, const S: usize>(
 ) {
     // SAFETY: forwarded to the caller.
     unsafe {
+        let (p0, p1, p2, po) = (p0.add(j * S), p1.add(j * S), p2.add(j * S), po.add(j));
         let t0 = tap::<V, S>(p0).mul(fv[0]);
         let t1 = tap::<V, S>(p0.add(1)).mul(fv[1]);
         let t2 = tap::<V, S>(p0.add(2)).mul(fv[2]);
@@ -463,17 +265,25 @@ unsafe fn dw3_bnact_block<V: F32x8, const S: usize>(
         let left = t0.add(t1).add(t2.add(t3));
         let right = t4.add(t5).add(t6.add(t7));
         let acc = left.add(right).add(t8.add(bvv));
-        ep.apply(acc).store_ptr(po);
+        let acc = if BN { ep.apply(acc) } else { acc };
+        acc.store_ptr(po);
     }
 }
 
-/// [`dw3_fwd_row_pre`] with the fused BN+activation store: identical
-/// block schedule (two independent blocks per iteration, overlapped
-/// final block), identical sub-8-pixel fallback — the chain-ordered
-/// [`dw3_fwd_row`] followed by the bitwise-equal scalar epilogue.
+/// One interior output row through [`dw3_block`], with the filter, bias
+/// and epilogue lanes already splatted (the band body hoists them out
+/// of the row loop).
+///
+/// Two independent blocks run per iteration so their balanced trees
+/// overlap in the pipeline. A sub-8-pixel remainder is finished by one
+/// **overlapped** block ending at the last pixel: a lane's value is
+/// independent of its position within a block, so the re-stored pixels
+/// keep their exact bits and no serial tail loop runs. Rows shorter than
+/// 8 pixels fall back to the chain-ordered [`dw3_fwd_row`] (then the
+/// bitwise-equal scalar epilogue) on every backend alike.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dw3_bnact_row_pre<V: F32x8, const S: usize>(
+fn dw3_row<V: F32x8, const S: usize, const BN: bool>(
     out: &mut [f32],
     r0: &[f32],
     r1: &[f32],
@@ -483,14 +293,22 @@ fn dw3_bnact_row_pre<V: F32x8, const S: usize>(
     epv: &EpV<V>,
     f: &[f32],
     bv: f32,
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActEp,
 ) {
     let m = out.len();
     if m < LANES {
         dw3_fwd_row::<S>(out, r0, r1, r2, f, bv);
-        bnact_scalar(out, ep);
+        if BN {
+            bnact_scalar(out, ep);
+        }
         return;
     }
+    // One bounds proof up front, then an unchecked block loop: LLVM does
+    // not eliminate per-tap slice checks through the backend dispatch,
+    // and 9 taps × (slice + length check) per 8-pixel block otherwise
+    // outnumber the 19 arithmetic instructions. The furthest read of any
+    // block — including the overlapped one at `m - LANES` — is within
+    // the row span `(m-1)*S + 3` that the band body provides.
     let need = (m - 1) * S + 3;
     assert!(
         r0.len() >= need && r1.len() >= need && r2.len() >= need,
@@ -499,55 +317,42 @@ fn dw3_bnact_row_pre<V: F32x8, const S: usize>(
     let m8 = simd::vector_cover(m);
     let (p0, p1, p2, po) = (r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), out.as_mut_ptr());
     let mut j = 0;
-    // SAFETY: the assert above proves every tap of every block ending at
-    // or before pixel `m` stays inside `r0`/`r1`/`r2`, and `j + 8 <= m
-    // <= out.len()` covers each store (same proof as `dw3_fwd_row_pre`).
     while j + 2 * LANES <= m8 {
-        let x = j * S;
+        // SAFETY: the assert above proves every tap of every block ending
+        // at or before pixel `m` stays inside `r0`/`r1`/`r2`, and `j + 16
+        // <= m <= out.len()` covers both stores.
         unsafe {
-            dw3_bnact_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv, epv);
-            let x2 = x + LANES * S;
-            dw3_bnact_block::<V, S>(
-                p0.add(x2),
-                p1.add(x2),
-                p2.add(x2),
-                po.add(j + LANES),
-                fv,
-                bvv,
-                epv,
-            );
+            dw3_block::<V, S, BN>(j, p0, p1, p2, po, fv, bvv, epv);
+            dw3_block::<V, S, BN>(j + LANES, p0, p1, p2, po, fv, bvv, epv);
         }
         j += 2 * LANES;
     }
     if j < m8 {
-        let x = j * S;
         // SAFETY: as above; `j + LANES <= m8` by `vector_cover`.
-        unsafe {
-            dw3_bnact_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv, epv);
-        }
+        unsafe { dw3_block::<V, S, BN>(j, p0, p1, p2, po, fv, bvv, epv) };
     }
     if m8 < m {
-        let j = m - LANES;
-        let x = j * S;
-        // SAFETY: as above; `j + LANES == m`.
-        unsafe {
-            dw3_bnact_block::<V, S>(p0.add(x), p1.add(x), p2.add(x), po.add(j), fv, bvv, epv);
-        }
+        // SAFETY: as above; the overlapped final block ends at `m`.
+        unsafe { dw3_block::<V, S, BN>(m - LANES, p0, p1, p2, po, fv, bvv, epv) };
     }
 }
 
-/// Output rows `y0..y1` of one fused `DW-Conv3 → BN-eval → activation`
-/// plane, written contiguously into a `(y1 − y0) × os.w` destination
-/// tile. Replays [`dw_plane_fwd`]'s exact per-row structure for the
-/// `k = 3`, stride-1/2 lane geometries — border pixels through
-/// [`dw_fwd_border`] plus the scalar epilogue, interior pixels through
-/// the fused-store lane kernel — so each output element's bits equal
-/// `dwconv2d` → `bn_apply_eval` → `relu/relu6` applied layerwise.
-/// Output rows are computed from input rows `y·S − p ..` only, so band
-/// decompositions over `y` cannot change any value.
+/// Output rows `y0..y1` of one `k = 3`, stride-`S` depth-wise plane,
+/// written contiguously into a `(y1 − y0) × os.w` destination: the one
+/// DW-Conv3 forward body. Per row, border pixels run [`dw_fwd_border`]
+/// and interior pixels the lane kernel; with `BN` each pixel then gets
+/// the BN+activation epilogue, in register for the interior and through
+/// the bitwise-equal [`bnact_scalar`] for the borders. Without `BN` the
+/// identity epilogue does no arithmetic, so the plain forward is the
+/// same body with nothing folded in.
+///
+/// `dwconv2d` runs it over rows `0..os.h` of every plane; the fused
+/// bundle ([`crate::fused`]) over one row band at a time. Output rows
+/// read input rows `y·S − p ..` only, so no band decomposition can
+/// change any value.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn dw3_bnact_band_v<V: F32x8, const S: usize>(
+fn dw3_band_v<V: F32x8, const S: usize, const BN: bool>(
     dst: &mut [f32],
     chan_in: &[f32],
     filt: &[f32],
@@ -556,7 +361,7 @@ fn dw3_bnact_band_v<V: F32x8, const S: usize>(
     os: Shape,
     p: usize,
     (y0, y1): (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActEp,
 ) {
     let (y_lo, y_hi) = interior_range(os.h, is.h, 3, S, p);
     let (x_lo, x_hi) = interior_range(os.w, is.w, 3, S, p);
@@ -564,17 +369,20 @@ fn dw3_bnact_band_v<V: F32x8, const S: usize>(
     let fv: [V; 9] = std::array::from_fn(|t| V::splat(filt[t]));
     let bvv = V::splat(bv);
     let epv = EpV::<V>::new(ep);
+    let border = |row: &mut [f32], oy: usize, xr: std::ops::Range<usize>| {
+        dw_fwd_border(row, chan_in, filt, bv, oy, xr.clone(), is, 3, S, p);
+        if BN {
+            bnact_scalar(&mut row[xr], ep);
+        }
+    };
     for oy in y0..y1 {
         let row = &mut dst[(oy - y0) * os.w..(oy - y0 + 1) * os.w];
         if !lane || oy < y_lo || oy >= y_hi {
-            dw_fwd_border(row, chan_in, filt, bv, oy, 0..os.w, is, 3, S, p);
-            bnact_scalar(row, ep);
+            border(row, oy, 0..os.w);
             continue;
         }
-        dw_fwd_border(row, chan_in, filt, bv, oy, 0..x_lo, is, 3, S, p);
-        bnact_scalar(&mut row[..x_lo], ep);
-        dw_fwd_border(row, chan_in, filt, bv, oy, x_hi..os.w, is, 3, S, p);
-        bnact_scalar(&mut row[x_hi..], ep);
+        border(row, oy, 0..x_lo);
+        border(row, oy, x_hi..os.w);
         let iy0 = oy * S - p;
         let ix0 = x_lo * S - p;
         let span = (x_hi - 1 - x_lo) * S + 3;
@@ -582,14 +390,17 @@ fn dw3_bnact_band_v<V: F32x8, const S: usize>(
         let r1 = &chan_in[(iy0 + 1) * is.w + ix0..(iy0 + 1) * is.w + ix0 + span];
         let r2 = &chan_in[(iy0 + 2) * is.w + ix0..(iy0 + 2) * is.w + ix0 + span];
         let interior = &mut row[x_lo..x_hi];
-        dw3_bnact_row_pre::<V, S>(interior, r0, r1, r2, &fv, bvv, &epv, filt, bv, ep);
+        dw3_row::<V, S, BN>(interior, r0, r1, r2, &fv, bvv, &epv, filt, bv, ep);
     }
 }
 
+/// `inline(always)` on the generic body is load-bearing: it must inline
+/// into this `#[target_feature(enable = "avx2")]` scope, or the 256-bit
+/// ops would be legalized into split halves.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)]
-unsafe fn dw3_bnact_band_avx2<const S: usize>(
+unsafe fn dw3_band_avx2<const S: usize, const BN: bool>(
     dst: &mut [f32],
     chan_in: &[f32],
     filt: &[f32],
@@ -598,22 +409,25 @@ unsafe fn dw3_bnact_band_avx2<const S: usize>(
     os: Shape,
     p: usize,
     yr: (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: BnActEp,
 ) {
-    dw3_bnact_band_v::<Avx2V, S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
+    dw3_band_v::<Avx2V, S, BN>(dst, chan_in, filt, bv, is, os, p, yr, ep)
 }
 
-/// Fused `DW-Conv3 → BN-eval → activation` band dispatch — the
-/// crate-internal entry the fused bundle executor ([`crate::fused`])
-/// drives. `ep` is `(mean, inv_std, gamma, beta, ceiling)` with
-/// `ceiling = f32::INFINITY` for plain ReLU.
+/// DW-Conv3 band dispatch over the active backend, the stride and the
+/// epilogue: `ep = None` is the plain forward, `Some` the fused
+/// BN+activation store. Every backend — scalar included — runs the
+/// generic lane body with its balanced accumulation tree, so all
+/// backends are bit-identical by construction ([`ScalarV`] replays the
+/// vector order literally).
 ///
 /// # Panics
 ///
-/// Panics when the stride is not 1 or 2 (the only fused geometries; the
-/// planner never builds a fused plan for anything else).
+/// Panics when the stride is not 1 or 2 (the only lane geometries;
+/// [`dwconv2d`] routes others to the generic loop and the planner never
+/// builds a fused plan for them).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn dw3_bnact_band(
+pub(crate) fn dw3_band(
     be: Backend,
     dst: &mut [f32],
     chan_in: &[f32],
@@ -624,33 +438,36 @@ pub(crate) fn dw3_bnact_band(
     s: usize,
     p: usize,
     yr: (usize, usize),
-    ep: (f32, f32, f32, f32, f32),
+    ep: Option<BnActEp>,
 ) {
+    let e = ep.unwrap_or_default();
     macro_rules! go {
-        ($S:literal) => {
+        ($S:literal, $BN:literal) => {
             match be {
                 Backend::Scalar => {
-                    dw3_bnact_band_v::<ScalarV, $S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
+                    dw3_band_v::<ScalarV, $S, $BN>(dst, chan_in, filt, bv, is, os, p, yr, e)
                 }
                 #[cfg(target_arch = "x86_64")]
                 Backend::Sse2 => {
-                    dw3_bnact_band_v::<Sse2V, $S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
+                    dw3_band_v::<Sse2V, $S, $BN>(dst, chan_in, filt, bv, is, os, p, yr, e)
                 }
                 #[cfg(target_arch = "x86_64")]
                 // SAFETY: the Avx2 backend is only ever active after
                 // runtime detection succeeded.
                 Backend::Avx2 => unsafe {
-                    dw3_bnact_band_avx2::<$S>(dst, chan_in, filt, bv, is, os, p, yr, ep)
+                    dw3_band_avx2::<$S, $BN>(dst, chan_in, filt, bv, is, os, p, yr, e)
                 },
                 #[cfg(not(target_arch = "x86_64"))]
                 _ => unreachable!("vector backends are never active off x86_64"),
             }
         };
     }
-    match s {
-        1 => go!(1),
-        2 => go!(2),
-        other => panic!("dw3_bnact_band: unsupported stride {other} (expected 1 or 2)"),
+    match (s, ep.is_some()) {
+        (1, false) => go!(1, false),
+        (1, true) => go!(1, true),
+        (2, false) => go!(2, false),
+        (2, true) => go!(2, true),
+        (other, _) => panic!("dw3_band: unsupported stride {other} (expected 1 or 2)"),
     }
 }
 
@@ -715,7 +532,8 @@ fn dw_fwd_border(
 }
 
 /// Forward pass over one `(item, channel)` plane with the
-/// interior/border split.
+/// interior/border split: the lane geometries run the one band body
+/// over every row, the rest the generic loop below.
 #[allow(clippy::too_many_arguments)]
 fn dw_plane_fwd(
     be: Backend,
@@ -729,29 +547,12 @@ fn dw_plane_fwd(
     s: usize,
     p: usize,
 ) {
+    if k == 3 && (s == 1 || s == 2) {
+        let yr = (0, os.h);
+        return dw3_band(be, chan_out, chan_in, filt, bv, is, os, s, p, yr, None);
+    }
     let (y_lo, y_hi) = interior_range(os.h, is.h, k, s, p);
     let (x_lo, x_hi) = interior_range(os.w, is.w, k, s, p);
-    // Lane geometries run the borders first (scalar, raster order within
-    // each row band) and then all interior rows through one per-plane
-    // dispatch — border and interior regions are disjoint, so the write
-    // reordering changes no value.
-    if k == 3 && (s == 1 || s == 2) && x_lo < x_hi && y_lo < y_hi {
-        for oy in 0..os.h {
-            let out_row = &mut chan_out[oy * os.w..(oy + 1) * os.w];
-            if oy < y_lo || oy >= y_hi {
-                dw_fwd_border(out_row, chan_in, filt, bv, oy, 0..os.w, is, k, s, p);
-            } else {
-                dw_fwd_border(out_row, chan_in, filt, bv, oy, 0..x_lo, is, k, s, p);
-                dw_fwd_border(out_row, chan_in, filt, bv, oy, x_hi..os.w, is, k, s, p);
-            }
-        }
-        let (xr, yr) = ((x_lo, x_hi), (y_lo, y_hi));
-        match s {
-            1 => dw3_fwd_interior_dispatch::<1>(be, chan_out, chan_in, filt, bv, is, os, xr, yr, p),
-            _ => dw3_fwd_interior_dispatch::<2>(be, chan_out, chan_in, filt, bv, is, os, xr, yr, p),
-        }
-        return;
-    }
     for oy in 0..os.h {
         let out_row = &mut chan_out[oy * os.w..(oy + 1) * os.w];
         if oy < y_lo || oy >= y_hi || x_lo >= x_hi {
@@ -761,42 +562,20 @@ fn dw_plane_fwd(
         dw_fwd_border(out_row, chan_in, filt, bv, oy, 0..x_lo, is, k, s, p);
         let iy0 = oy * s - p;
         let ix0 = x_lo * s - p;
-        let span = (x_hi - 1 - x_lo) * s + k;
-        let interior = &mut out_row[x_lo..x_hi];
-        if k == 3 {
-            let r0 = &chan_in[iy0 * is.w + ix0..iy0 * is.w + ix0 + span];
-            let r1 = &chan_in[(iy0 + 1) * is.w + ix0..(iy0 + 1) * is.w + ix0 + span];
-            let r2 = &chan_in[(iy0 + 2) * is.w + ix0..(iy0 + 2) * is.w + ix0 + span];
-            // k = 3 with a stride above 2: off the lane path, the
-            // reference chain order per pixel.
-            for (j, o) in interior.iter_mut().enumerate() {
-                let x = j * s;
-                *o = bv
-                    + r0[x] * filt[0]
-                    + r0[x + 1] * filt[1]
-                    + r0[x + 2] * filt[2]
-                    + r1[x] * filt[3]
-                    + r1[x + 1] * filt[4]
-                    + r1[x + 2] * filt[5]
-                    + r2[x] * filt[6]
-                    + r2[x + 1] * filt[7]
-                    + r2[x + 2] * filt[8];
-            }
-        } else {
-            // Generic kernel edge, still branch-free: every tap is in
-            // bounds, so the `(ky, kx)` loops carry no checks.
-            for (j, o) in interior.iter_mut().enumerate() {
-                let x0 = ix0 + j * s;
-                let mut acc = bv;
-                for ky in 0..k {
-                    let row = &chan_in[(iy0 + ky) * is.w + x0..(iy0 + ky) * is.w + x0 + k];
-                    let frow = &filt[ky * k..ky * k + k];
-                    for (&iv, &fv) in row.iter().zip(frow) {
-                        acc += iv * fv;
-                    }
+        // Generic kernel interior, still branch-free: every tap is in
+        // bounds, so the `(ky, kx)` loops carry no checks. The taps sum
+        // in the reference chain order.
+        for (j, o) in out_row[x_lo..x_hi].iter_mut().enumerate() {
+            let x0 = ix0 + j * s;
+            let mut acc = bv;
+            for ky in 0..k {
+                let row = &chan_in[(iy0 + ky) * is.w + x0..(iy0 + ky) * is.w + x0 + k];
+                let frow = &filt[ky * k..ky * k + k];
+                for (&iv, &fv) in row.iter().zip(frow) {
+                    acc += iv * fv;
                 }
-                *o = acc;
             }
+            *o = acc;
         }
         dw_fwd_border(out_row, chan_in, filt, bv, oy, x_hi..os.w, is, k, s, p);
     }
@@ -823,16 +602,7 @@ pub fn dwconv2d(
     geo: ConvGeometry,
 ) -> Result<Tensor> {
     let is = input.shape();
-    check(is, weight.shape(), geo)?;
-    if let Some(b) = bias {
-        if b.len() != is.c {
-            return Err(TensorError::ShapeMismatch {
-                op: "dwconv2d bias",
-                expected: format!("{} entries", is.c),
-                got: format!("{} entries", b.len()),
-            });
-        }
-    }
+    check(is, weight.shape(), bias, geo)?;
     let os = geo.out_shape(is, is.c);
     let mut out = Tensor::zeros(os);
     let (k, s, p) = (geo.kernel, geo.stride, geo.pad);
@@ -842,13 +612,7 @@ pub fn dwconv2d(
     if telemetry::metrics_enabled() {
         telemetry::counter("tensor.dwconv.fwd_calls").inc();
         telemetry::counter("tensor.dwconv.fwd_flops").add(2 * (os.numel() * kk) as u64);
-        if k == 3 && (s == 1 || s == 2) {
-            let (y_lo, y_hi) = interior_range(os.h, is.h, k, s, p);
-            let (x_lo, x_hi) = interior_range(os.w, is.w, k, s, p);
-            let rows = y_hi.saturating_sub(y_lo);
-            let m8 = simd::vector_cover(x_hi.saturating_sub(x_lo));
-            simd::record_lanes("dwconv_fwd", is.n * is.c * rows * m8);
-        }
+        simd::record_lanes("dwconv_fwd", lane_pixels(is, os, k, s, p));
     }
     // Every (item, channel) plane is independent: one parallel task per
     // output plane, each reading only its own input plane and filter.
@@ -946,9 +710,8 @@ fn dw_bwd_border(
 
 /// Scalar interior backward pixels for `k = 3`: the fully unrolled
 /// scatter, visiting outputs `ox_range` in raster order with the
-/// reference's `g == 0` skip and `(ky, kx)` tap order. Shared by the
-/// scalar plane kernel (whole interior) and the vector plane kernel
-/// (tail pixels after the 8-lane blocks).
+/// reference's `g == 0` skip and `(ky, kx)` tap order — the tail pixels
+/// after the lane-ordered plane's 8-lane blocks.
 #[allow(clippy::too_many_arguments)]
 #[inline]
 fn dw3_bwd_pixels(
@@ -1026,7 +789,6 @@ fn dw_plane_bwd(
 ) {
     let (y_lo, y_hi) = interior_range(os.h, is.h, k, s, p);
     let (x_lo, x_hi) = interior_range(os.w, is.w, k, s, p);
-    let unroll3 = k == 3;
     for oy in 0..os.h {
         let go_row = &go[oy * os.w..(oy + 1) * os.w];
         if oy < y_lo || oy >= y_hi || x_lo >= x_hi {
@@ -1061,34 +823,18 @@ fn dw_plane_bwd(
             p,
         );
         let iy0 = oy * s - p;
-        if unroll3 {
-            dw3_bwd_pixels(
-                gi_c,
-                gw_c,
-                gb,
-                go_row,
-                chan_in,
-                filt,
-                iy0,
-                x_lo..x_hi,
-                is,
-                s,
-                p,
-            );
-        } else {
-            for (i, &g) in go_row[x_lo..x_hi].iter().enumerate() {
-                if g == 0.0 {
-                    continue;
-                }
-                *gb += g;
-                let x0 = (x_lo + i) * s - p;
-                for ky in 0..k {
-                    let base = (iy0 + ky) * is.w + x0;
-                    let frow = ky * k;
-                    for kx in 0..k {
-                        gw_c[frow + kx] += g * chan_in[base + kx];
-                        gi_c[base + kx] += g * filt[frow + kx];
-                    }
+        for (i, &g) in go_row[x_lo..x_hi].iter().enumerate() {
+            if g == 0.0 {
+                continue;
+            }
+            *gb += g;
+            let x0 = (x_lo + i) * s - p;
+            for ky in 0..k {
+                let base = (iy0 + ky) * is.w + x0;
+                let frow = ky * k;
+                for kx in 0..k {
+                    gw_c[frow + kx] += g * chan_in[base + kx];
+                    gi_c[base + kx] += g * filt[frow + kx];
                 }
             }
         }
@@ -1341,8 +1087,9 @@ unsafe fn dw3_plane_bwd_avx2<const S: usize>(
 /// backend runs the lane-ordered schedule ([`ScalarV`] replays it under
 /// `Backend::Scalar`), so results are bit-identical across backends.
 #[allow(clippy::too_many_arguments)]
-fn dw3_bwd_dispatch<const S: usize>(
+fn dw3_bwd_dispatch(
     be: Backend,
+    s: usize,
     gi_c: &mut [f32],
     gw_c: &mut [f32],
     gb: &mut f32,
@@ -1353,20 +1100,31 @@ fn dw3_bwd_dispatch<const S: usize>(
     os: Shape,
     p: usize,
 ) {
-    match be {
-        Backend::Scalar => {
-            dw3_plane_bwd_v::<ScalarV, S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => dw3_plane_bwd_v::<Sse2V, S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: the Avx2 backend is only ever active after runtime
-        // detection succeeded (`simd::active`/`simd::force` enforce it).
-        Backend::Avx2 => unsafe {
-            dw3_plane_bwd_avx2::<S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
-        },
-        #[cfg(not(target_arch = "x86_64"))]
-        _ => unreachable!("vector backends are never active off x86_64"),
+    macro_rules! go {
+        ($S:literal) => {
+            match be {
+                Backend::Scalar => {
+                    dw3_plane_bwd_v::<ScalarV, $S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
+                }
+                #[cfg(target_arch = "x86_64")]
+                Backend::Sse2 => {
+                    dw3_plane_bwd_v::<Sse2V, $S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
+                }
+                #[cfg(target_arch = "x86_64")]
+                // SAFETY: the Avx2 backend is only ever active after runtime
+                // detection succeeded (`simd::active`/`simd::force` enforce it).
+                Backend::Avx2 => unsafe {
+                    dw3_plane_bwd_avx2::<$S>(gi_c, gw_c, gb, go, chan_in, filt, is, os, p)
+                },
+                #[cfg(not(target_arch = "x86_64"))]
+                _ => unreachable!("vector backends are never active off x86_64"),
+            }
+        };
+    }
+    match s {
+        1 => go!(1),
+        2 => go!(2),
+        other => panic!("dw3_bwd_dispatch: unsupported stride {other} (expected 1 or 2)"),
     }
 }
 
@@ -1391,7 +1149,7 @@ pub fn dwconv2d_backward(
     geo: ConvGeometry,
 ) -> Result<DwConvGrads> {
     let is = input.shape();
-    check(is, weight.shape(), geo)?;
+    check(is, weight.shape(), None, geo)?;
     let os = geo.out_shape(is, is.c);
     if grad_out.shape() != os {
         return Err(TensorError::ShapeMismatch {
@@ -1411,13 +1169,7 @@ pub fn dwconv2d_backward(
     if telemetry::metrics_enabled() {
         telemetry::counter("tensor.dwconv.bwd_calls").inc();
         telemetry::counter("tensor.dwconv.bwd_flops").add(4 * (os.numel() * kk) as u64);
-        if lane_path {
-            let (y_lo, y_hi) = interior_range(os.h, is.h, k, s, p);
-            let (x_lo, x_hi) = interior_range(os.w, is.w, k, s, p);
-            let rows = y_hi.saturating_sub(y_lo);
-            let m8 = simd::vector_cover(x_hi.saturating_sub(x_lo));
-            simd::record_lanes("dwconv_bwd", is.n * is.c * rows * m8);
-        }
+        simd::record_lanes("dwconv_bwd", lane_pixels(is, os, k, s, p));
     }
     // One task per (item, channel) plane: the input-gradient plane is
     // written in place and the filter/bias contribution goes to a private
@@ -1436,36 +1188,11 @@ pub fn dwconv2d_backward(
             let chan_in = &input.as_slice()[plane * is.plane()..(plane + 1) * is.plane()];
             let go = &grad_out.as_slice()[plane * os.plane()..(plane + 1) * os.plane()];
             let (gw_c, gb_c) = partial.split_at_mut(kk);
+            let gb = &mut gb_c[0];
             if lane_path {
-                if s == 1 {
-                    dw3_bwd_dispatch::<1>(
-                        be,
-                        gi_c,
-                        gw_c,
-                        &mut gb_c[0],
-                        go,
-                        chan_in,
-                        filt,
-                        is,
-                        os,
-                        p,
-                    );
-                } else {
-                    dw3_bwd_dispatch::<2>(
-                        be,
-                        gi_c,
-                        gw_c,
-                        &mut gb_c[0],
-                        go,
-                        chan_in,
-                        filt,
-                        is,
-                        os,
-                        p,
-                    );
-                }
+                dw3_bwd_dispatch(be, s, gi_c, gw_c, gb, go, chan_in, filt, is, os, p);
             } else {
-                dw_plane_bwd(gi_c, gw_c, &mut gb_c[0], go, chan_in, filt, is, os, k, s, p);
+                dw_plane_bwd(gi_c, gw_c, gb, go, chan_in, filt, is, os, k, s, p);
             }
         },
     );
@@ -1517,16 +1244,7 @@ pub mod reference {
         geo: ConvGeometry,
     ) -> Result<Tensor> {
         let is = input.shape();
-        check(is, weight.shape(), geo)?;
-        if let Some(b) = bias {
-            if b.len() != is.c {
-                return Err(TensorError::ShapeMismatch {
-                    op: "dwconv2d bias",
-                    expected: format!("{} entries", is.c),
-                    got: format!("{} entries", b.len()),
-                });
-            }
-        }
+        check(is, weight.shape(), bias, geo)?;
         let os = geo.out_shape(is, is.c);
         let mut out = Tensor::zeros(os);
         let (k, s, p) = (geo.kernel, geo.stride, geo.pad);
@@ -1574,7 +1292,7 @@ pub mod reference {
         geo: ConvGeometry,
     ) -> Result<DwConvGrads> {
         let is = input.shape();
-        check(is, weight.shape(), geo)?;
+        check(is, weight.shape(), None, geo)?;
         let os = geo.out_shape(is, is.c);
         if grad_out.shape() != os {
             return Err(TensorError::ShapeMismatch {
@@ -1654,41 +1372,6 @@ pub mod reference {
 mod tests {
     use super::*;
     use crate::conv::{conv2d, conv2d_backward};
-
-    #[test]
-    #[ignore = "manual microbenchmark: cargo test --release -- --ignored row_kernel_timing --nocapture"]
-    fn row_kernel_timing() {
-        fn time(label: &str, reps: usize, mut body: impl FnMut()) {
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                body();
-            }
-            eprintln!("{label}: {:.3} ms", t0.elapsed().as_secs_f64() * 1e3);
-        }
-        for w in [38usize, 318, 4096] {
-            let reps = 40_000_000 / w;
-            let src: Vec<f32> = (0..w + 2).map(|i| (i % 17) as f32 * 0.1).collect();
-            let f: Vec<f32> = (0..9).map(|i| 0.1 * i as f32).collect();
-            let mut out = vec![0.0f32; w];
-            eprintln!("-- row width {w} x {reps} reps --");
-            time("scalar", reps, || {
-                dw3_fwd_row::<1>(std::hint::black_box(&mut out), &src, &src, &src, &f, 0.5);
-            });
-            time("sse2v ", reps, || {
-                dw3_fwd_row_v::<Sse2V, 1>(
-                    std::hint::black_box(&mut out),
-                    &src,
-                    &src,
-                    &src,
-                    &f,
-                    0.5,
-                );
-            });
-            time("avx2v ", reps, || unsafe {
-                dw3_fwd_row_avx2::<1>(std::hint::black_box(&mut out), &src, &src, &src, &f, 0.5);
-            });
-        }
-    }
 
     fn filled(shape: Shape, f: impl Fn(usize) -> f32) -> Tensor {
         Tensor::from_vec(shape, (0..shape.numel()).map(f).collect()).unwrap()

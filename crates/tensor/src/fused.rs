@@ -1,64 +1,71 @@
-//! Cache-resident fused execution of one SkyNet bundle:
-//! `DW-Conv3 → BN → Act → PW-Conv → BN → Act` in a single pass over row
-//! tiles.
+//! Cache-resident fused execution of one SkyNet bundle,
+//! `DW-Conv3 → BN → Act → PW-Conv → BN → Act`, in either number domain:
+//! [`fused_bundle_forward`] (f32) and [`qfused_bundle_forward`] (INT8,
+//! `DW-Conv3_i8 → requant → PW_i8 → requant`).
 //!
-//! The unfused path materializes five full feature maps per bundle
-//! (DW output, two BN outputs, two activation outputs) and streams each
-//! through DRAM between layers. This executor instead walks the output
-//! in **row bands**: for each `(item, band)` task the DW-Conv3 output
-//! tile (all `C` channels × `R` rows) is produced straight into the
-//! thread-local [`scratch`] arena with the BN+activation epilogue fused
-//! into the store loop ([`crate::dwconv`]'s fused band kernel), then fed
-//! directly into the point-wise matmul whose output tile gets the second
-//! BN+activation epilogue before the only DRAM write — the final output
-//! rows. The full-size intermediates never exist.
+//! The unfused path materializes every intermediate feature map of a
+//! bundle and streams each through DRAM between layers. Both executors
+//! instead walk the output in **row bands** through one `(item, band)`
+//! task runner, `run_bands`:
+//!
+//! * one band-height rule, `band_rows`, counted in bytes: a band keeps
+//!   all of its scratch tiles within a 384 KiB L2 budget while every item
+//!   still splits into about 8 bands, so single-image inference
+//!   parallelizes. The band height is a fixed function of the shape,
+//!   never of the thread count;
+//! * one task loop: each task checks its tiles out of the thread-local
+//!   [`scratch`] arena at the fixed band capacity (so every band hits the
+//!   same arena size class), runs the domain's DW band, epilogue and PW
+//!   tile, and stores its rows `y0..y1` of each output plane through one
+//!   disjoint-row pointer (`parallel::SendPtr`). The final output rows
+//!   are the only DRAM write; the full-size intermediates never exist.
+//!
+//! Per domain, the DW band, the epilogue and the PW tile are:
+//!
+//! * **f32** — [`crate::dwconv`]'s one DW-Conv3 band body with the
+//!   BN+activation epilogue folded into its store, then the point-wise
+//!   matmul with the second BN+activation epilogue, then a copy into the
+//!   output rows;
+//! * **INT8** — the `i32` DW accumulator band, [`requant_i8`] into `i8`
+//!   activations, the `i8` point-wise matmul into an `i32` tile, and
+//!   [`requant_i8`] straight into the output rows (rows `y0..y1` of a
+//!   plane are contiguous, so requantizing *is* the store).
+//!
+//! Span, counter and gauge names stay per domain (`tensor.fused_fwd`,
+//! `fusion.*` for f32; `tensor.qfused_fwd`, `quant.fused.*` for INT8).
 //!
 //! ## Bit-identity
 //!
-//! The fused output is **bit-identical** to the unfused layer-by-layer
-//! path on every `SKYNET_SIMD` backend and thread count, because each
-//! stage reuses the unfused kernels' exact per-element f32 operation
-//! sequences and none of them depends on position or tile extent:
+//! Both executors are **bit-identical** to their unfused layer sequence
+//! on every `SKYNET_SIMD` backend and thread count, because each stage
+//! reuses the unfused kernels' exact per-element operation sequences and
+//! none of them depends on position or tile extent:
 //!
 //! * DW rows are row-local (output row `y` reads input rows
-//!   `y·s − p ..= y·s − p + 2` only) and replay `dw_plane_fwd`'s
-//!   border/interior split per row;
-//! * the BN+activation epilogues replay `bn_apply_eval` +
-//!   `relu/relu6`'s per-element sequence, which is independent of the
-//!   vector/tail boundary ([`simd::bn_act_inplace`]);
+//!   `y·s − p ..= y·s − p + 2` only), and the f32 band body is the very
+//!   body `dwconv2d` runs, with its identity epilogue;
+//! * the f32 epilogues replay `bn_apply_eval` + `relu/relu6`'s
+//!   per-element sequence, which is independent of the vector/tail
+//!   boundary ([`simd::bn_act_inplace`]); requantization is per-element;
 //! * [`matmul_acc`](crate::matmul::matmul_acc) accumulates each output
 //!   element over `k` in a fixed ascending chain, independent of the
 //!   column count of the call — so a band tile (`n = R·W`) produces the
-//!   same bits as the whole plane (`n = H·W`);
-//! * the band decomposition is a fixed function of the shape, never of
-//!   the thread count.
+//!   same bits as the whole plane (`n = H·W`). The integer accumulators
+//!   are exact sums, so any grouping agrees;
+//! * the band decomposition is a fixed function of the shape.
 //!
-//! `core::plan` drives this executor from the graph-level execution
-//! plan; [`crate::fusion`] (`SKYNET_FUSION`) toggles it, keeping the
-//! unfused path as the equivalence oracle.
-//!
-//! ## The INT8 twin
-//!
-//! [`qfused_bundle_forward`] is the quantized counterpart: one
-//! `DW-Conv3_i8 → requant → PW_i8 → requant` pass per row band, with
-//! the `i32` DW accumulator tile, its requantized `i8` activations,
-//! and the PW `i32` tile all resident in the scratch arena, and the
-//! shared [`requant_i8`] epilogue folded into
-//! the output store loop (output rows of a band are contiguous per
-//! channel, so requantizing *into the output map* is the store). The
-//! unfused quantized path materializes an `i32` + `i8` full map after
-//! DW and an `i32` full map after PW; the fused pass writes only the
-//! final `i8` rows. Bit-identity here is even simpler than the f32
-//! argument: every accumulator is an exact integer sum (any grouping
-//! of wrapping adds agrees), DW rows are row-local, each PW output
-//! element reduces over `k` in ascending order regardless of the band
-//! column count, and requantization is per-element.
+//! `core::plan` (f32) and the INT8 engine in `skynet-nn` drive these
+//! executors as they walk the SkyNet topology; [`crate::fusion`]
+//! (`SKYNET_FUSION`) toggles them, keeping the unfused paths as the
+//! equivalence oracles.
 
 use crate::conv::{pw_bnact_tile, ConvGeometry};
-use crate::dwconv::dw3_bnact_band;
+use crate::dwconv::dw3_band;
+use crate::parallel::{self, SendPtr};
 use crate::qint::{dw_plane_rows, matmul_i8_rows, requant_i8};
-use crate::{parallel, scratch, simd, telemetry};
+use crate::{scratch, simd, telemetry};
 use crate::{Result, Shape, Tensor, TensorError};
+use std::mem::size_of;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Per-channel BatchNorm-eval + activation epilogue parameters, captured
@@ -136,35 +143,94 @@ impl BnAct {
     }
 }
 
-/// `*mut f32` wrapper for the disjoint per-task output writes.
-struct SendPtr(*mut f32);
-// SAFETY: each `(item, band)` task writes a disjoint set of output rows
-// (the decomposition partitions `item × band`), so sharing the base
-// pointer across the pool is race-free.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+// ---------------------------------------------------------------------------
+// The band runner both executors share
+// ---------------------------------------------------------------------------
 
-impl SendPtr {
-    /// Whole-struct access so closures capture `SendPtr` (which is
-    /// `Sync`), not the raw pointer field.
-    fn get(&self) -> *mut f32 {
-        self.0
+/// Bytes one output row of an f32 band holds: the `c`-channel DW tile
+/// and the `c2`-channel PW tile.
+fn f32_row_bytes(c: usize, c2: usize, w: usize) -> usize {
+    (c + c2) * size_of::<f32>() * w.max(1)
+}
+
+/// Bytes one output row of an INT8 band holds: `c` `i32` + `c` `i8` DW
+/// lanes and `c2` `i32` PW lanes.
+fn i8_row_bytes(c: usize, c2: usize, w: usize) -> usize {
+    (c * (size_of::<i32>() + size_of::<i8>()) + c2 * size_of::<i32>()) * w.max(1)
+}
+
+/// Row-band height of a fused bundle with `h` output rows of
+/// `row_bytes` each: the tiles of one band stay within 384 KiB of L2,
+/// and each item still yields at least ~8 bands so single-image
+/// inference parallelizes.
+fn band_rows(row_bytes: usize, h: usize) -> usize {
+    const TILE_BYTE_BUDGET: usize = 384 * 1024;
+    let r_cache = (TILE_BYTE_BUDGET / row_bytes.max(1)).max(1);
+    let r_par = h.div_ceil(8).max(1);
+    r_cache.min(r_par).min(h.max(1))
+}
+
+/// One `(item, band)` task: output rows `y0..y1` of batch item `item`,
+/// `len = (y1 − y0)·w` pixels per channel, and the disjoint store
+/// target of those rows.
+struct Band<'a, T> {
+    item: usize,
+    y0: usize,
+    y1: usize,
+    len: usize,
+    out: &'a SendPtr<T>,
+    /// Offset of row `y0` of output plane `(item, 0)`.
+    first: usize,
+    plane: usize,
+    c2: usize,
+}
+
+impl<T> Band<'_, T> {
+    /// This band's rows `y0..y1` of output channel `oc`.
+    fn rows(&mut self, oc: usize) -> &mut [T] {
+        assert!(oc < self.c2, "output channel {oc} out of range");
+        let at = self.first + oc * self.plane;
+        // SAFETY: `run_bands`' tasks partition `item × band`, so these
+        // rows are reachable from exactly one task, and `&mut self`
+        // keeps at most one of them borrowed at a time; the range is in
+        // bounds by the length check in `run_bands`.
+        unsafe { std::slice::from_raw_parts_mut(self.out.get().add(at), self.len) }
     }
 }
 
-/// Row-band height for a fused bundle: a **fixed function of the shape**
-/// (never the thread count), chosen so the DW and PW tiles together stay
-/// cache-resident while still yielding enough `(item, band)` tasks to
-/// feed the pool.
-fn band_rows(c: usize, c2: usize, os: Shape) -> usize {
-    // Both tiles live in L2: (c + c2) · R · W floats ≲ 384 KiB.
-    const TILE_F32_BUDGET: usize = 96 * 1024;
-    let per_row = (c + c2) * os.w.max(1);
-    let r_cache = (TILE_F32_BUDGET / per_row).max(1);
-    // At least ~8 bands per item so single-image inference parallelizes.
-    let r_par = os.h.div_ceil(8).max(1);
-    r_cache.min(r_par).min(os.h.max(1))
+/// The one `(item, band)` task runner: splits the `n × c2 × h × w`
+/// output `out` into bands of `r` rows and runs `task` once per
+/// `(item, band)` on the pool. The task computes its band (its scratch
+/// tiles use the fixed capacity `r`, not `y1 − y0`, so every band hits
+/// the same arena size class) and stores it through [`Band::rows`].
+fn run_bands<T: Send>(
+    out: &mut [T],
+    (n, c2, h, w): (usize, usize, usize, usize),
+    r: usize,
+    task: impl Fn(&mut Band<'_, T>) + Sync,
+) {
+    assert!(out.len() >= n * c2 * h * w, "band runner output too short");
+    let nbands = h.div_ceil(r).max(1);
+    let base = SendPtr(out.as_mut_ptr());
+    parallel::run_indexed(n * nbands, |t| {
+        let (item, y0) = (t / nbands, (t % nbands) * r);
+        let y1 = (y0 + r).min(h);
+        task(&mut Band {
+            item,
+            y0,
+            y1,
+            len: (y1 - y0) * w,
+            out: &base,
+            first: item * c2 * h * w + y0 * w,
+            plane: h * w,
+            c2,
+        });
+    });
 }
+
+// ---------------------------------------------------------------------------
+// The f32 bundle
+// ---------------------------------------------------------------------------
 
 /// Executes one fused bundle: `DW-Conv3(w_dw) → BN₁ → Act → PW(w_pw) →
 /// BN₂ → Act`, bit-identical to the unfused layer sequence (see the
@@ -218,10 +284,7 @@ pub fn fused_bundle_forward(
     let os_dw = dw_geo.out_shape(is, c);
     let os = Shape::new(is.n, c2, os_dw.h, os_dw.w);
     let mut out = Tensor::zeros(os);
-
-    let r = band_rows(c, c2, os_dw);
-    let nbands = os_dw.h.div_ceil(r).max(1);
-    let tasks = is.n * nbands;
+    let r = band_rows(f32_row_bytes(c, c2, os.w), os.h);
 
     let _span = telemetry::span("tensor.fused_fwd");
     if telemetry::metrics_enabled() {
@@ -233,7 +296,7 @@ pub fn fused_bundle_forward(
         // The five per-bundle intermediates the unfused path writes to
         // (and re-reads from) memory: DW out, BN1 out, Act1 out (c
         // planes each), PW out, BN2 out (c2 planes each).
-        let saved = (3 * c + 2 * c2) * os_dw.plane() * is.n * std::mem::size_of::<f32>();
+        let saved = (3 * c + 2 * c2) * os_dw.plane() * is.n * size_of::<f32>();
         telemetry::counter("fusion.dram_bytes_saved").add(saved as u64);
         telemetry::record_gauge("fusion.band_rows", r as f64);
         simd::record_lanes(
@@ -243,37 +306,27 @@ pub fn fused_bundle_forward(
     }
 
     let be = simd::active();
-    let out_ptr = SendPtr(out.as_mut_slice().as_mut_ptr());
-    let x = input.as_slice();
-    let dw_w = dw_weight.as_slice();
-    let pw_w = pw_weight.as_slice();
+    let (x, dw_w, pw_w) = (input.as_slice(), dw_weight.as_slice(), pw_weight.as_slice());
     let in_plane = is.plane();
-    let out_plane = os.plane();
-
-    parallel::run_indexed(tasks, |t| {
-        let item = t / nbands;
-        let band = t % nbands;
-        let y0 = band * r;
-        let y1 = (y0 + r).min(os_dw.h);
-        let l = (y1 - y0) * os_dw.w;
-        // Fixed-capacity checkouts (`r`, not `y1-y0`) so every band hits
-        // the same arena size class.
-        let mut dw_tile = scratch::checkout("tensor.fused_fwd", c * r * os_dw.w);
-        let mut pw_tile = scratch::checkout("tensor.fused_fwd", c2 * r * os_dw.w);
+    let dims = (os.n, os.c, os.h, os.w);
+    run_bands(out.as_mut_slice(), dims, r, |band| {
+        let l = band.len;
+        let mut dw_tile = scratch::checkout("tensor.fused_fwd", c * r * os.w);
+        let mut pw_tile = scratch::checkout("tensor.fused_fwd", c2 * r * os.w);
         for ch in 0..c {
-            let chan_in = &x[(item * c + ch) * in_plane..(item * c + ch + 1) * in_plane];
-            dw3_bnact_band(
+            let plane = band.item * c + ch;
+            dw3_band(
                 be,
                 &mut dw_tile[ch * l..(ch + 1) * l],
-                chan_in,
+                &x[plane * in_plane..(plane + 1) * in_plane],
                 &dw_w[ch * 9..(ch + 1) * 9],
                 0.0,
                 is,
                 os_dw,
                 s,
                 p,
-                (y0, y1),
-                bn1.channel(ch),
+                (band.y0, band.y1),
+                Some(bn1.channel(ch)),
             );
         }
         pw_bnact_tile(
@@ -286,23 +339,15 @@ pub fn fused_bundle_forward(
             bn2,
         );
         for oc in 0..c2 {
-            // SAFETY: `(item, band)` tasks partition the output rows, so
-            // this range is written by exactly one task; the range is in
-            // bounds by the shape arithmetic above.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    out_ptr.get().add((item * c2 + oc) * out_plane + y0 * os.w),
-                    l,
-                )
-            };
-            dst.copy_from_slice(&pw_tile[oc * l..(oc + 1) * l]);
+            band.rows(oc)
+                .copy_from_slice(&pw_tile[oc * l..(oc + 1) * l]);
         }
     });
     Ok(out)
 }
 
 // ---------------------------------------------------------------------------
-// The INT8 fused bundle
+// The INT8 bundle
 // ---------------------------------------------------------------------------
 
 /// Per-output-channel requantization epilogue of one quantized stage,
@@ -332,30 +377,6 @@ pub struct QFusedSats {
     pub dw: u64,
     /// `i8` clamp count of the PW requantization.
     pub pw: u64,
-}
-
-/// `*mut i8` wrapper for the disjoint per-task output row writes (the
-/// INT8 sibling of [`SendPtr`], same disjointness argument).
-struct SendPtrI8(*mut i8);
-// SAFETY: each `(item, band)` task writes a disjoint set of output rows.
-unsafe impl Send for SendPtrI8 {}
-unsafe impl Sync for SendPtrI8 {}
-
-impl SendPtrI8 {
-    fn get(&self) -> *mut i8 {
-        self.0
-    }
-}
-
-/// Row-band height for a fused INT8 bundle: the same L2-residency rule
-/// as [`band_rows`], counted in bytes — per output row the band holds
-/// `c` `i32` + `c` `i8` DW lanes and `c2` `i32` PW lanes.
-fn qband_rows(c: usize, c2: usize, h: usize, w: usize) -> usize {
-    const TILE_BYTE_BUDGET: usize = 384 * 1024;
-    let per_row = (5 * c + 4 * c2) * w.max(1);
-    let r_cache = (TILE_BYTE_BUDGET / per_row).max(1);
-    let r_par = h.div_ceil(8).max(1);
-    r_cache.min(r_par).min(h.max(1))
 }
 
 /// Executes one quantized bundle — `DW-Conv3_i8 → requant_i8 → PW_i8 →
@@ -432,10 +453,7 @@ pub fn qfused_bundle_forward(
     if n * c2 * plane == 0 {
         return Ok(QFusedSats { dw: 0, pw: 0 });
     }
-
-    let r = qband_rows(c, c2, h, w);
-    let nbands = h.div_ceil(r).max(1);
-    let tasks = n * nbands;
+    let r = band_rows(i8_row_bytes(c, c2, w), h);
 
     let _span = telemetry::span("tensor.qfused_fwd");
     if telemetry::metrics_enabled() {
@@ -444,40 +462,32 @@ pub fn qfused_bundle_forward(
         // The unfused quantized stage pair materializes an i32 + i8 DW
         // full map and an i32 PW full map; the fused pass writes none
         // of them.
-        let saved = (5 * c + 4 * c2) * plane * n;
+        let saved = i8_row_bytes(c, c2, w) * h * n;
         telemetry::counter("quant.fused.dram_bytes_saved").add(saved as u64);
         telemetry::record_gauge("quant.fused.band_rows", r as f64);
     }
 
     let be = simd::active();
-    let out_ptr = SendPtrI8(out.as_mut_ptr());
     let dw_sat = AtomicU64::new(0);
     let pw_sat = AtomicU64::new(0);
-
-    parallel::run_indexed(tasks, |t| {
-        let item = t / nbands;
-        let band = t % nbands;
-        let y0 = band * r;
-        let y1 = (y0 + r).min(h);
-        let l = (y1 - y0) * w;
-        // Fixed-capacity checkouts (`r`, not `y1-y0`) so every band hits
-        // the same arena size class.
+    run_bands(out, (n, c2, h, w), r, |band| {
+        let l = band.len;
         let mut dw_acc = scratch::checkout_i32("tensor.qfused_fwd", c * r * w);
         let mut dw_q = scratch::checkout_i8("tensor.qfused_fwd", c * r * w);
         let mut pw_acc = scratch::checkout_i32("tensor.qfused_fwd", c2 * r * w);
         let (mut sat_dw, mut sat_pw) = (0u64, 0u64);
         for ch in 0..c {
-            let chan_in = &x[(item * c + ch) * plane..(item * c + ch + 1) * plane];
+            let chan = band.item * c + ch;
             // dw_plane_rows overwrites, so the dirty checkout is fine.
             dw_plane_rows(
                 be,
-                chan_in,
+                &x[chan * plane..(chan + 1) * plane],
                 &dw_weight[ch * 9..ch * 9 + 9],
                 &mut dw_acc[ch * l..(ch + 1) * l],
                 h,
                 w,
-                y0,
-                y1,
+                band.y0,
+                band.y1,
             );
             sat_dw += requant_i8(
                 &dw_acc[ch * l..(ch + 1) * l],
@@ -499,24 +509,13 @@ pub fn qfused_bundle_forward(
             l,
         );
         for oc in 0..c2 {
-            // SAFETY: `(item, band)` tasks partition the output rows, so
-            // this range is written by exactly one task; in bounds by the
-            // shape arithmetic above. Rows `y0..y1` of plane `oc` are
-            // contiguous, so requantizing into this slice *is* the store
-            // loop — no staging copy.
-            let dst = unsafe {
-                std::slice::from_raw_parts_mut(
-                    out_ptr.get().add((item * c2 + oc) * plane + y0 * w),
-                    l,
-                )
-            };
             sat_pw += requant_i8(
                 &pw_acc[oc * l..(oc + 1) * l],
                 pw_ep.mult[oc],
                 pw_ep.bias[oc],
                 pw_ep.clamp,
                 pw_ep.out_scale,
-                dst,
+                band.rows(oc),
             );
         }
         // u64 sums are commutative, so the totals are schedule-independent.
@@ -763,6 +762,45 @@ mod tests {
         // Epilogue channel mismatch.
         assert!(qfused_bundle_forward(&x, shape, &dw_w, &ep2, &pw_w, 3, &ep2, &mut out).is_err());
         assert!(qfused_bundle_forward(&x, shape, &dw_w, &ep1, &pw_w, 3, &ep2, &mut out).is_ok());
+    }
+
+    /// The one byte-counted band rule must reproduce the heights of the
+    /// two per-domain rules it replaced (f32 counted `(c + c2)·w` floats
+    /// against 96 Ki floats; INT8 `(5c + 4c2)·w` bytes against 384 KiB)
+    /// on every SkyNet C bundle at 160×320, at width ÷8 and at paper
+    /// width. The expected heights were computed with those rules.
+    #[test]
+    fn band_rule_keeps_the_skynet_c_band_heights() {
+        // (c, c2, h, w) of each bundle's DW output, then the f32 and INT8
+        // band heights.
+        let cases = [
+            // Width ÷8.
+            (3usize, 6, 160, 320, 20, 20),
+            (6, 12, 80, 160, 10, 10),
+            (12, 24, 40, 80, 5, 5),
+            (24, 48, 20, 40, 3, 3),
+            (48, 64, 20, 40, 3, 3),
+            (160, 12, 20, 40, 3, 3),
+            // Paper width.
+            (3, 48, 160, 320, 6, 5),
+            (48, 96, 80, 160, 4, 3),
+            (96, 192, 40, 80, 4, 3),
+            (192, 384, 20, 40, 3, 3),
+            (384, 512, 20, 40, 2, 2),
+            (1280, 96, 20, 40, 1, 1),
+        ];
+        for (c, c2, h, w, f32_rows, i8_rows) in cases {
+            assert_eq!(
+                band_rows(f32_row_bytes(c, c2, w), h),
+                f32_rows,
+                "f32 {c}->{c2} {h}x{w}"
+            );
+            assert_eq!(
+                band_rows(i8_row_bytes(c, c2, w), h),
+                i8_rows,
+                "INT8 {c}->{c2} {h}x{w}"
+            );
+        }
     }
 
     #[test]

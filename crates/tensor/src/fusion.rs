@@ -1,7 +1,7 @@
 //! Runtime toggle for the fused execution plan (`SKYNET_FUSION`).
 //!
-//! The graph-level execution planner in `skynet-core` rewrites the
-//! bundle chain `DW-Conv3 → BN → Act → PW-Conv → BN → Act` into a single
+//! The fused execution plan in `skynet-core` (`core::plan`) runs each
+//! bundle chain `DW-Conv3 → BN → Act → PW-Conv → BN → Act` as a single
 //! cache-blocked fused kernel ([`crate::fused`]). The fused path is
 //! engineered to be **bit-identical** to the unfused layer-by-layer
 //! path, so the unfused path survives as the equivalence oracle behind

@@ -351,14 +351,17 @@ pub fn par_chunks_mut2<A: Send, B: Send, F>(
 /// guarantees disjoint access ranges per task. Accessed through
 /// [`SendPtr::get`] so closures capture the whole (Sync) wrapper rather
 /// than the raw-pointer field (2021-edition disjoint capture).
-struct SendPtr<T>(*mut T);
+pub(crate) struct SendPtr<T>(pub(crate) *mut T);
 
 impl<T> SendPtr<T> {
-    fn get(&self) -> *mut T {
+    pub(crate) fn get(&self) -> *mut T {
         self.0
     }
 }
 
+// SAFETY: the one field is a pointer to `T`s that other threads write
+// (hence `T: Send`); every user hands each task a range no other task
+// touches, and the buffer outlives the parallel region.
 unsafe impl<T: Send> Send for SendPtr<T> {}
 unsafe impl<T: Send> Sync for SendPtr<T> {}
 

@@ -1034,11 +1034,8 @@ pub fn maxpool2d_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, k: usize
 /// mirroring [`reorg`](crate::reorg::reorg): input channel `c` and
 /// intra-block offset `(dy, dx)` land in output channel
 /// `c·s² + dy·s + dx`. A pure permutation, so the quantization scale
-/// rides along unchanged.
-///
-/// The `s²` output planes fed by one input plane are contiguous; each
-/// such group is one task on the [`parallel`](crate::parallel) pool,
-/// copied row by row.
+/// rides along unchanged. It runs the f32 reorg's own permutation body,
+/// on the [`parallel`](crate::parallel) pool.
 ///
 /// # Panics
 ///
@@ -1051,24 +1048,12 @@ pub fn reorg_i8(src: &[i8], n: usize, c: usize, h: usize, w: usize, s: usize) ->
         "spatial extents {h}×{w} not divisible by {s}"
     );
     assert!(src.len() >= n * c * h * w, "input too short");
-    let (oh, ow) = (h / s, w / s);
-    let mut out = vec![0i8; n * c * s * s * oh * ow];
+    let mut out = vec![0i8; n * c * h * w];
     if out.is_empty() {
         return out;
     }
     let _span = telemetry::span("tensor.qreorg");
-    par_chunks_mut(&mut out, s * s * oh * ow, |pi, planes| {
-        let input = &src[pi * h * w..(pi + 1) * h * w];
-        for (sub, plane) in planes.chunks_exact_mut(oh * ow).enumerate() {
-            let (dy, dx) = (sub / s, sub % s);
-            for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
-                let irow = &input[(oy * s + dy) * w + dx..];
-                for (o, &v) in orow.iter_mut().zip(irow.iter().step_by(s)) {
-                    *o = v;
-                }
-            }
-        }
-    });
+    crate::reorg::space_to_depth(src, &mut out, h, w, s);
     out
 }
 

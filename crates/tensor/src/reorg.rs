@@ -9,6 +9,7 @@
 //! The operation is a pure permutation, so its backward pass is the inverse
 //! permutation and round-trips exactly.
 
+use crate::parallel::par_chunks_mut;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Output shape of a reorg with block size `s` applied to `input`.
@@ -54,27 +55,40 @@ pub fn reorg(input: &Tensor, s: usize) -> Result<Tensor> {
     let is = input.shape();
     let os = reorg_out_shape(is, s)?;
     let mut out = Tensor::zeros(os);
-    let src = input.as_slice();
-    let dst = out.as_mut_slice();
-    for n in 0..is.n {
-        for c in 0..is.c {
-            let in_base = (n * is.c + c) * is.plane();
-            for dy in 0..s {
-                for dx in 0..s {
-                    let oc = c * s * s + dy * s + dx;
-                    let out_base = (n * os.c + oc) * os.plane();
-                    for oy in 0..os.h {
-                        let in_row = in_base + (oy * s + dy) * is.w + dx;
-                        let out_row = out_base + oy * os.w;
-                        for ox in 0..os.w {
-                            dst[out_row + ox] = src[in_row + ox * s];
-                        }
-                    }
+    space_to_depth(input.as_slice(), out.as_mut_slice(), is.h, is.w, s);
+    Ok(out)
+}
+
+/// The space-to-depth permutation of [`reorg`], written once for every
+/// element type: `src` holds `h×w` planes (`s` divides both extents)
+/// and `dst` the `s²` output planes of each, in [`reorg`]'s channel
+/// layout. The `s²` planes fed by one input plane are contiguous, so
+/// each group is one task on the [`parallel`](crate::parallel) pool,
+/// copied row by row. A pure copy: every element type and schedule
+/// yields the same permutation.
+pub(crate) fn space_to_depth<T: Copy + Send + Sync>(
+    src: &[T],
+    dst: &mut [T],
+    h: usize,
+    w: usize,
+    s: usize,
+) {
+    let (oh, ow) = (h / s, w / s);
+    if dst.is_empty() {
+        return;
+    }
+    par_chunks_mut(dst, s * s * oh * ow, |pi, planes| {
+        let input = &src[pi * h * w..(pi + 1) * h * w];
+        for (sub, plane) in planes.chunks_exact_mut(oh * ow).enumerate() {
+            let (dy, dx) = (sub / s, sub % s);
+            for (oy, orow) in plane.chunks_exact_mut(ow).enumerate() {
+                let irow = &input[(oy * s + dy) * w + dx..];
+                for (o, &v) in orow.iter_mut().zip(irow.iter().step_by(s)) {
+                    *o = v;
                 }
             }
         }
-    }
-    Ok(out)
+    });
 }
 
 /// Backward pass of [`reorg`]: the inverse permutation, mapping an output

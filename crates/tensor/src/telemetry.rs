@@ -62,7 +62,10 @@ const STATE_ON: u8 = 2;
 static METRICS_STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
 static TRACE_STATE: AtomicU8 = AtomicU8::new(STATE_UNSET);
 
-fn env_truthy(var: &str) -> bool {
+/// Whether the on/off switch `var` is on: `1`, `true`, `on` or `yes`,
+/// surrounding whitespace allowed. The one parser of the crate's boolean
+/// environment switches.
+pub(crate) fn env_truthy(var: &str) -> bool {
     matches!(
         std::env::var(var).as_deref().map(str::trim),
         Ok("1") | Ok("true") | Ok("on") | Ok("yes")
